@@ -22,6 +22,7 @@ alone, which the file-level round-trip tests exercise.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -207,6 +208,15 @@ def pack_block_geometry(settings: CompressionSettings) -> bytes:
     return out
 
 
+#: Settings decoded from header bytes, keyed by the type codes and the raw
+#: geometry bytes.  Every chunk of a store repeats the same header, so chunk
+#: decodes share one immutable settings object instead of rebuilding and
+#: re-validating it per chunk.  Cleared when full; only successfully built
+#: settings are entered.
+_DECODED_SETTINGS: dict[tuple, CompressionSettings] = {}
+_DECODED_SETTINGS_LIMIT = 64
+
+
 def unpack_block_geometry(
     data: bytes,
     offset: int,
@@ -215,23 +225,34 @@ def unpack_block_geometry(
     index_dtype: np.dtype,
     transform: str,
 ) -> tuple[CompressionSettings, int]:
-    """Inverse of :func:`pack_block_geometry`; rebuilds the full settings object."""
+    """Inverse of :func:`pack_block_geometry`; returns the full settings object.
+
+    Equal geometry bytes under equal type codes decode to the *same* (immutable)
+    settings object.
+    """
+    start = offset
     block_shape = struct.unpack_from(f"<{ndim}Q", data, offset)
     offset += 8 * ndim
     (mask_nbytes,) = struct.unpack_from("<I", data, offset)
     offset += 4
-    mask_bits = np.frombuffer(data, dtype=np.uint8, count=mask_nbytes, offset=offset)
-    offset += mask_nbytes
-    block_size = int(np.prod(block_shape))
-    mask = np.unpackbits(mask_bits, count=block_size).astype(bool).reshape(block_shape)
-    settings = CompressionSettings(
-        block_shape=block_shape,
-        float_format=float_format,
-        index_dtype=index_dtype,
-        transform=transform,
-        pruning_mask=None if mask.all() else mask,
-    )
-    return settings, offset
+    key = (float_format.name, index_dtype.str, transform, ndim,
+           bytes(data[start : offset + mask_nbytes]))
+    settings = _DECODED_SETTINGS.get(key)
+    if settings is None:
+        mask_bits = np.frombuffer(data, dtype=np.uint8, count=mask_nbytes, offset=offset)
+        block_size = int(np.prod(block_shape))
+        mask = np.unpackbits(mask_bits, count=block_size).astype(bool).reshape(block_shape)
+        settings = CompressionSettings(
+            block_shape=block_shape,
+            float_format=float_format,
+            index_dtype=index_dtype,
+            transform=transform,
+            pruning_mask=None if mask.all() else mask,
+        )
+        if len(_DECODED_SETTINGS) >= _DECODED_SETTINGS_LIMIT:
+            _DECODED_SETTINGS.clear()
+        _DECODED_SETTINGS[key] = settings
+    return settings, offset + mask_nbytes
 
 
 # --------------------------------------------------------------------------- serialization
@@ -278,11 +299,12 @@ def deserialize(data: bytes) -> CompressedArray:
         data, offset, ndim, float_format, index_dtype, transform
     )
 
-    n_blocks = settings.n_blocks(shape)
+    grid_shape = settings.block_grid_shape(shape)
+    n_blocks = math.prod(grid_shape)
     maxima_nbytes = float_bytes(n_blocks, float_format)
     maxima = unpack_floats(data[offset : offset + maxima_nbytes], n_blocks, float_format)
     offset += maxima_nbytes
-    maxima = maxima.reshape(settings.block_grid_shape(shape))
+    maxima = maxima.reshape(grid_shape)
 
     kept = settings.kept_per_block
     indices_count = n_blocks * kept

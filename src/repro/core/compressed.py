@@ -19,6 +19,7 @@ The container is deliberately a thin, validated record: all algorithms live in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,10 @@ class CompressedArray:
                 f"maxima shape {maxima.shape} does not match block grid {expected_grid}"
             )
         self.maxima = maxima
+        # the geometry is fixed at construction; every fold step reads it, so
+        # keep the grid and the counts derived from it instead of recomputing
+        self._grid_shape = expected_grid
+        self._n_blocks = math.prod(expected_grid)
         indices = np.asarray(self.indices)
         if indices.dtype != self.settings.index_dtype:
             raise ValueError(
@@ -91,26 +96,26 @@ class CompressedArray:
     @property
     def grid_shape(self) -> tuple[int, ...]:
         """Shape of the block grid ``ceil(s / i)``."""
-        return self.settings.block_grid_shape(self.shape)
+        return self._grid_shape
 
     @property
     def n_blocks(self) -> int:
-        return int(np.prod(self.grid_shape))
+        return self._n_blocks
 
     @property
     def padded_shape(self) -> tuple[int, ...]:
         """Shape of the zero-padded array the blocks tile exactly."""
-        return self.settings.padded_shape(self.shape)
+        return tuple(g * b for g, b in zip(self._grid_shape, self.settings.block_shape))
 
     @property
     def n_elements(self) -> int:
         """Number of elements of the original (uncropped) array."""
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def n_padded_elements(self) -> int:
         """Number of elements of the padded array (what reductions actually see)."""
-        return int(np.prod(self.padded_shape))
+        return self._n_blocks * self.settings.block_size
 
     # ------------------------------------------------------------------ views
     def specified_coefficients(self) -> np.ndarray:
@@ -119,13 +124,15 @@ class CompressedArray:
         Returns a blocked float64 array of shape ``(grid..., block...)`` with zeros at
         pruned coefficient positions.
         """
-        blocked_indices = unflatten_kept(
-            self.indices, self.settings.mask, self.grid_shape, fill_value=0,
-            dtype=self.settings.index_dtype,
+        # a fresh float64 array (the indices are integers), scaled in place
+        coefficients = unflatten_kept(
+            self.indices, self.settings.mask, self._grid_shape, fill_value=0,
+            dtype=np.float64,
         )
         radius = float(self.settings.index_radius)
         expand = self.maxima.reshape(self.maxima.shape + (1,) * self.settings.ndim)
-        return blocked_indices.astype(np.float64) * (expand / radius)
+        coefficients *= expand / radius
+        return coefficients
 
     def first_coefficients(self) -> np.ndarray:
         """The DC (first) coefficient of every block, shaped like the block grid.
@@ -139,9 +146,12 @@ class CompressedArray:
                 "the first coefficient of each block was pruned away; "
                 "mean-based operations are unavailable under this pruning mask"
             )
-        coefficients = self.specified_coefficients()
-        dc_index = (Ellipsis,) + (0,) * self.settings.ndim
-        return coefficients[dc_index]
+        # the kept DC coefficient is column 0 of every flattened block; these are
+        # the float64 operations of specified_coefficients() on that one column,
+        # so the bits are the same without dequantising the whole chunk
+        radius = float(self.settings.index_radius)
+        dc = self.indices[:, 0].astype(np.float64) * (self.maxima.ravel() / radius)
+        return dc.reshape(self._grid_shape)
 
     def blockwise_means(self) -> np.ndarray:
         """Block-wise means of the (padded) array, shaped like the block grid."""

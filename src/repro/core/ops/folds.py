@@ -18,9 +18,9 @@ to the last bit** because
 2. each per-block partial sum is computed independently per block (a reduction
    over that block's trailing axes only), so it has the same bits whether the
    block arrived in a chunk or in the whole array; and
-3. finalization sums the per-block values with :func:`math.fsum`, which returns
-   the correctly rounded sum of its inputs — independent of how they were
-   grouped into chunks.
+3. finalization sums the per-block values with :func:`exact_sum`, which
+   returns the correctly rounded sum of its inputs (``math.fsum``'s result) —
+   independent of how they were grouped into chunks.
 
 Consequently a store-level reduction equals its in-memory counterpart on the
 assembled array *bit for bit* whenever the chunks assemble bit-identically —
@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,6 +54,7 @@ __all__ = [
     "combine",
     "combine_all",
     "total",
+    "exact_sum",
     "product_partial",
     "square_partial",
     "difference_square_partial",
@@ -70,6 +70,7 @@ __all__ = [
     "finalize_covariance",
     "finalize_variance",
     "finalize_cosine_similarity",
+    "cosine_similarity_from_totals",
 ]
 
 
@@ -89,6 +90,10 @@ class FoldState:
     dc_scale:
         The settings' DC scale ``Π sqrt(block extents)`` (needed by the mean
         finalizer); ``None`` for folds that do not touch DC coefficients.
+    totals:
+        :func:`total`'s memo, one exact sum per key, so finalizers sharing a
+        state (the mean and the variance's pass-1 DC mean, say) sum it once.
+        A state is not extended after it has been totalled.
     """
 
     sums: dict[str, list[np.ndarray]]
@@ -96,6 +101,7 @@ class FoldState:
     n_elements: int
     n_padded_elements: int
     dc_scale: float | None = field(default=None)
+    totals: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
 
 def _check_mergeable(left: FoldState, right: FoldState) -> None:
@@ -162,14 +168,80 @@ def combine_all(states) -> "FoldState | None":
     return accumulator
 
 
+#: Most values :func:`exact_sum` buckets: summing at most 2**26 mantissa
+#: halves of at most 27 bits keeps every bin below 2**53 units, so exact.
+_EXACT_SUM_MAX_VALUES = 1 << 26
+#: Clears the low 27 of the 52 stored fraction bits of a float64.
+_CLEAR_LOW_FRACTION = ~np.int64((1 << 27) - 1)
+
+
+def exact_sum(parts: Sequence[np.ndarray]) -> float:
+    """Correctly rounded sum of float64 arrays: ``math.fsum``'s result, bit for bit.
+
+    Every value is split, by masking its fraction bits, into a high part (its
+    top 26 fraction bits) and the low 27 bits; both parts are summed per
+    binary exponent with :func:`numpy.bincount`.  Within one exponent the
+    parts are integer multiples of one unit and stay below 2**53 units, so
+    every bin is exact.  The bins are then assembled into one Python integer
+    that a single correctly rounded int-to-float division scales back: the
+    exact sum, rounded once, as ``fsum`` returns it — without ``fsum``'s
+    per-element Python loop.
+
+    ``math.fsum`` itself answers where its own semantics are the subtle part:
+    no values, non-finite values (``nan``/``inf`` propagation and its
+    ``ValueError``), magnitudes where ``fsum``'s intermediate sums could
+    overflow (its ``OverflowError``), more than 2**26 values, and an
+    exact-zero result (whose sign ``fsum`` decides).
+    """
+    values = np.concatenate(parts) if len(parts) else np.empty(0)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    count = values.size
+    if count == 0 or count > _EXACT_SUM_MAX_VALUES:
+        return math.fsum(values.tolist())
+    bits = values.view(np.int64)
+    exponents = bits >> 52
+    exponents &= 0x7FF
+    # 0x7FF marks inf/nan.  Below it, |any partial sum| < count * 2**(top -
+    # 1022); keeping that under 2**1021 leaves fsum's partials and its final
+    # rounding step room, so fsum cannot overflow where this path answers
+    top = int(exponents.max())
+    if top + count.bit_length() > 2043:
+        return math.fsum(values.tolist())
+    high = (bits & _CLEAR_LOW_FRACTION).view(np.float64)
+    # exact: the cleared bits, with the value's sign; ``values`` is a private
+    # copy, so it becomes the low part in place
+    low = np.subtract(values, high, out=values)
+    high_sums = np.bincount(exponents, weights=high)
+    low_sums = np.bincount(exponents, weights=low)
+    bins = np.flatnonzero((high_sums != 0) | (low_sums != 0)).tolist()
+    # bin e holds multiples of 2**(max(e, 1) - 1075) (subnormals share bin 1's
+    # unit); count them from the lowest bin's unit up
+    base = max(bins[0], 1) if bins else 1
+    exact = 0
+    for e, high_sum, low_sum in zip(bins, high_sums[bins].tolist(),
+                                    low_sums[bins].tolist()):
+        unit = max(e, 1)
+        units = int(math.ldexp(high_sum, 1075 - unit)) + int(math.ldexp(low_sum, 1075 - unit))
+        exact += units << (unit - base)
+    if exact == 0:
+        return math.fsum(np.concatenate(parts).tolist())
+    # the sum is exact * 2**(base - 1075); int / int rounds correctly, subnormals too
+    if base < 1075:
+        return exact / (1 << (1075 - base))
+    return float(exact << (base - 1075))
+
+
 def total(state: FoldState, key: str) -> float:
     """Exact (correctly rounded) sum of one per-block partial-sum vector.
 
-    ``math.fsum`` makes this independent of the chunking that produced the
-    parts — the property that lets store-level reductions match their
-    in-memory counterparts bit for bit.
+    :func:`exact_sum` makes this independent of the chunking that produced
+    the parts — the property that lets store-level reductions match their
+    in-memory counterparts bit for bit.  Memoized per state and key.
     """
-    return math.fsum(chain.from_iterable(state.sums[key]))
+    value = state.totals.get(key)
+    if value is None:
+        value = state.totals[key] = exact_sum(state.sums[key])
+    return value
 
 
 # ---------------------------------------------------------------------- helpers
@@ -255,7 +327,7 @@ def dc_partial(chunk: CompressedArray) -> FoldState:
     Raises ``ValueError`` when the DC coefficient was pruned away (the mean is
     then unrecoverable from the compressed form).
     """
-    dc = np.array(chunk.first_coefficients(), dtype=np.float64).ravel()
+    dc = chunk.first_coefficients().ravel()
     return _state(chunk, {"dc": [dc]}, dc_scale=chunk.settings.dc_scale)
 
 
@@ -374,10 +446,21 @@ def finalize_cosine_similarity(state: FoldState) -> float:
     cosine similarity is undefined.
     """
     _require_nonempty(state)
-    denominator = math.sqrt(total(state, "square_a")) * math.sqrt(total(state, "square_b"))
+    return cosine_similarity_from_totals(
+        total(state, "product"), total(state, "square_a"), total(state, "square_b")
+    )
+
+
+def cosine_similarity_from_totals(product: float, square_a: float,
+                                  square_b: float) -> float:
+    """``product / (sqrt(square_a) * sqrt(square_b))`` from already-summed totals.
+
+    Raises ``ZeroDivisionError`` when either norm is zero.
+    """
+    denominator = math.sqrt(square_a) * math.sqrt(square_b)
     if denominator == 0.0:
         raise ZeroDivisionError("cosine similarity is undefined for zero-norm arrays")
-    return total(state, "product") / denominator
+    return product / denominator
 
 
 # ---------------------------------------------------------------------- fold specs

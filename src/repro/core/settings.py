@@ -18,6 +18,7 @@ in :mod:`repro.core.ops` enforce it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -130,17 +131,20 @@ class CompressionSettings:
             object.__setattr__(self, "pruning_mask", mask)
 
     # ------------------------------------------------------------------ derived
+    # The settings are immutable, so the per-chunk hot path reads these derived
+    # values from a per-instance cache (``cached_property`` stores them in the
+    # instance dict, past the frozen ``__setattr__``).
     @property
     def ndim(self) -> int:
         """Dimensionality of arrays this configuration compresses."""
         return len(self.block_shape)
 
-    @property
+    @cached_property
     def block_size(self) -> int:
         """Total number of elements per block."""
         return int(np.prod(self.block_shape))
 
-    @property
+    @cached_property
     def index_radius(self) -> int:
         """Bin index radius ``r = 2**(b-1) - 1`` (§III-A(d))."""
         bits = self.index_dtype.itemsize * 8
@@ -151,19 +155,21 @@ class CompressionSettings:
         """Number of bins: values distinguishable by the index type minus one."""
         return 2 * self.index_radius + 1
 
-    @property
+    @cached_property
     def mask(self) -> np.ndarray:
-        """Effective pruning mask (all-True when no pruning was requested)."""
+        """Effective pruning mask (all-True when no pruning was requested); read-only."""
         if self.pruning_mask is None:
-            return np.ones(self.block_shape, dtype=bool)
+            mask = np.ones(self.block_shape, dtype=bool)
+            mask.setflags(write=False)
+            return mask
         return self.pruning_mask
 
-    @property
+    @cached_property
     def kept_per_block(self) -> int:
         """Number of coefficients kept per block after pruning."""
         return int(self.mask.sum())
 
-    @property
+    @cached_property
     def first_coefficient_kept(self) -> bool:
         """Whether the DC (first) coefficient of each block survives pruning.
 
@@ -172,7 +178,7 @@ class CompressionSettings:
         """
         return bool(self.mask[(0,) * self.ndim])
 
-    @property
+    @cached_property
     def dc_scale(self) -> float:
         """Scale ``c = prod(sqrt(block extents))`` relating DC coefficients to block means."""
         return float(np.prod(np.sqrt(np.asarray(self.block_shape, dtype=np.float64))))
@@ -180,15 +186,15 @@ class CompressionSettings:
     # ------------------------------------------------------------------ helpers
     def block_grid_shape(self, array_shape: Iterable[int]) -> tuple[int, ...]:
         """Shape of the arrangement of blocks ``b = ceil(s / i)`` for ``array_shape``."""
-        shape = tuple(int(s) for s in array_shape)
+        shape = tuple(map(int, array_shape))
         if len(shape) != self.ndim:
             raise CodecError(
                 f"array of dimensionality {len(shape)} cannot be compressed with "
                 f"{self.ndim}-dimensional block shape {self.block_shape}"
             )
-        if any(s < 1 for s in shape):
+        if min(shape) < 1:
             raise CodecError(f"array shape must be positive, got {shape}")
-        return tuple(-(-s // b) for s, b in zip(shape, self.block_shape))
+        return tuple([-(-s // b) for s, b in zip(shape, self.block_shape)])
 
     def padded_shape(self, array_shape: Iterable[int]) -> tuple[int, ...]:
         """Shape after zero-padding so every extent is a multiple of the block extent."""

@@ -20,7 +20,7 @@ expression graph plus a fusing planner:
   (:mod:`repro.serving`) ships reduction requests over the network.
 
 Results are bit-identical to the sequential per-op calls (same partials, same
-``fsum`` order); an ``executor`` fans batched multi-partial chunk jobs across
+exact combine); an ``executor`` fans batched multi-partial chunk jobs across
 threads or processes.  See ``docs/engine.md`` for the API, the planning rules,
 the pass-count guarantees and the fusion matrix.
 

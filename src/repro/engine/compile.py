@@ -38,7 +38,7 @@ row dot over kept coefficients instead of the interpreter's dense
 block-axis reduction), so their per-block sums agree with reference within
 :meth:`repro.kernels.KernelBackend.fused_fold_tolerance` — see
 ``docs/engine.md`` ("Compiled plans") for the derivation.  Everything after
-the per-block vectors (``fsum`` combine, finalizers) is shared with the
+the per-block vectors (exact combine, finalizers) is shared with the
 interpreted path, so chunking invariance is preserved per backend.
 
 Fallbacks are always clean: groups that cannot be lowered (structural nodes,

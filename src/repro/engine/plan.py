@@ -33,8 +33,9 @@ it (``plan.decode_passes``), at exactly one decode per chunk per pass.
 **Bit-identity guarantee**: every fused scalar equals the corresponding
 sequential :mod:`repro.streaming.ops` call bit for bit — the per-block partial
 sums are computed by the same partials on the same chunk bits, and
-:func:`repro.core.ops.folds.total` finalizes with ``math.fsum`` over the same
-per-chunk vectors in the same chunk order.
+:func:`repro.core.ops.folds.total` finalizes with the correctly rounded sum
+(``math.fsum``'s result) of the same per-chunk vectors.  Each term's total is
+computed once per execution, however many outputs share the term.
 
 **Compiled execution**: ``Plan.execute(backend=...)`` routes lowered pass
 groups through one compiled fused-pass kernel per plan signature
@@ -56,6 +57,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from functools import lru_cache
 from typing import Mapping
 
 from ..core import ops as core_ops
@@ -96,6 +98,22 @@ def _needed_slots(program: tuple, terms: tuple) -> set[int]:
     return needed
 
 
+@lru_cache(maxsize=256)
+def _step_layout(program: tuple, terms: tuple) -> tuple[tuple, tuple]:
+    """What every chunk step of ``terms`` does besides the partials, derived once.
+
+    Returns the node slots the step reads, in slot (topological) order, and
+    the slots feeding two or more coefficient-touching folds — the chunks
+    worth a primed ``coefficients_cache``.
+    """
+    uses: Counter = Counter()
+    for name, slots in terms:
+        if folds.FOLD_SPECS[name].touches_coefficients:
+            uses.update(slots)
+    return (tuple(sorted(_needed_slots(program, terms))),
+            tuple(slot for slot, count in uses.items() if count >= 2))
+
+
 def _evaluate_chunk_terms(program: tuple, values: dict, terms: tuple,
                           extras: tuple) -> list[folds.FoldState]:
     """One fused chunk step: structural nodes, shared caches, every term's partial.
@@ -108,8 +126,8 @@ def _evaluate_chunk_terms(program: tuple, values: dict, terms: tuple,
     and copied per fold (bitwise identical — see
     :func:`repro.core.ops.coefficients.specified_coefficients`).
     """
-    needed = _needed_slots(program, terms)
-    for slot in sorted(needed):
+    structural, shared = _step_layout(program, terms)
+    for slot in structural:
         if slot in values:
             continue
         entry = program[slot]
@@ -125,16 +143,11 @@ def _evaluate_chunk_terms(program: tuple, values: dict, terms: tuple,
         else:  # pragma: no cover - compilation always seeds source slots
             raise ValueError(f"source chunk for slot {slot} was not decoded")
 
-    uses: Counter = Counter()
-    for (name, slots), _ in zip(terms, extras):
-        if folds.FOLD_SPECS[name].touches_coefficients:
-            uses.update(slots)
     primed = []
-    for slot, count in uses.items():
-        if count >= 2:
-            chunk = values[slot]
-            chunk.coefficients_cache = chunk.specified_coefficients()
-            primed.append(chunk)
+    for slot in shared:
+        chunk = values[slot]
+        chunk.coefficients_cache = chunk.specified_coefficients()
+        primed.append(chunk)
 
     try:
         states = []
@@ -413,7 +426,7 @@ class Plan:
         non-sharded source, centered fold, or stale shard makes the whole
         group fall back to the ordinary sweep.  Served states are
         bit-identical to swept ones: the persisted vectors are the sweep's own
-        per-chunk partials, concatenated in chunk order, so ``fsum`` sees the
+        per-chunk partials, concatenated in chunk order, so the exact sum sees the
         same float64 values in the same order.
         """
         states: dict = {}
@@ -679,18 +692,13 @@ class Plan:
         if op == "covariance":
             return folds.finalize_covariance(states[("centered_product", slots)])
         if op == "cosine_similarity":
-            product = states[("product", slots)]
-            merged = folds.FoldState(
-                sums={
-                    "product": product.sums["product"],
-                    "square_a": states[("square", (slots[0],))].sums["square"],
-                    "square_b": states[("square", (slots[1],))].sums["square"],
-                },
-                n_blocks=product.n_blocks,
-                n_elements=product.n_elements,
-                n_padded_elements=product.n_padded_elements,
+            # the product and square states are shared with dot / l2_norm
+            # outputs; total() memoizes per state, so each is summed once
+            return folds.cosine_similarity_from_totals(
+                folds.total(states[("product", slots)], "product"),
+                folds.total(states[("square", (slots[0],))], "square"),
+                folds.total(states[("square", (slots[1],))], "square"),
             )
-            return folds.finalize_cosine_similarity(merged)
         raise ValueError(f"unknown reduction {op!r}")  # pragma: no cover
 
 

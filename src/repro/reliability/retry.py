@@ -149,10 +149,15 @@ def retry_call(
     each re-attempt, which is how the store counts its read retries.  When
     ``policy.deadline`` (or an explicit ``deadline``) runs out, the last
     exception from ``fn`` is re-raised.
+
+    The success path allocates nothing: the jitter generator (a seeded
+    ``random.Random``) and the policy's deadline are built on the first
+    retryable failure, the deadline counted from the start of the call.
     """
-    if deadline is None:
-        deadline = Deadline.after(policy.deadline)
-    delays = policy.delays()
+    started = None
+    if deadline is None and policy.deadline is not None:
+        started = time.monotonic()
+    delays = None
     last_exc: BaseException | None = None
     for attempt in range(1, policy.attempts + 1):
         try:
@@ -161,6 +166,10 @@ def retry_call(
             last_exc = exc
             if attempt >= policy.attempts:
                 break
+            if delays is None:
+                delays = policy.delays()
+                if started is not None:
+                    deadline = Deadline(policy.deadline, _now=started)
             pause = next(delays)
             if deadline is not None:
                 left = deadline.remaining()

@@ -21,7 +21,7 @@ fused plan** (outputs namespaced per request).  The planner's partial dedup
 then does the heavy lifting: N users asking for overlapping statistics over
 the same catalog stores share fold partials and decode sweeps, so a batch
 costs barely more than one request.  Results fan back per request and are
-bit-identical to evaluating each request alone (same partials, same fsum
+bit-identical to evaluating each request alone (same partials, same exact
 combine — the engine's bit-identity guarantee is per fold term, and fold terms
 are independent of which outputs reference them).
 

@@ -33,8 +33,8 @@ reassembles the accumulated state without decoding any chunk, and the plan
 engine serves ``mean`` / ``l2_norm`` / ``dot(x, x)`` (and pass 1 of
 ``variance``) straight from it — so a query over a growing store costs O(new
 chunks) at append time and O(shards) at query time.  The result is **bit
-identical** to a cold sweep: ``math.fsum`` in :func:`repro.core.ops.folds.total`
-visits the same float64 per-block values in the same chunk order whether they
+identical** to a cold sweep: the correctly rounded sum in
+:func:`repro.core.ops.folds.total` sees the same float64 per-block values whether they
 come from a live sweep's per-chunk vectors or from the persisted per-shard
 concatenations of those same vectors.
 
@@ -171,8 +171,8 @@ def _compute_partials(store: CompressedStore) -> "dict[str, np.ndarray] | None":
 
     Iterates the shard's chunks once, folding each through the uncentered
     partials (:data:`PARTIAL_FOLDS`).  Per-chunk per-block vectors are
-    concatenated *in chunk order*, so summing them later with ``math.fsum``
-    visits exactly the float64 values a live sweep would, in the same order —
+    concatenated *in chunk order*, so summing them later exactly
+    sees the float64 values a live sweep would, in the same order —
     the bit-identity invariant.  Returns ``None`` for non-pyblaz shards (no
     fold algebra applies); omits ``dc`` when the first coefficient was pruned.
     """
@@ -745,7 +745,7 @@ class ShardedStore:
 
         Reassembles the persisted per-shard partial vectors (one float64
         vector per shard, in shard order) into a state whose finalization is
-        bit-identical to a cold sweep's — ``fsum`` visits the same values in
+        bit-identical to a cold sweep's — the exact sum sees the same values in
         the same order.  ``rename`` relabels the sums key (the engine serves
         ``product(x, x)`` from the ``square`` vectors this way).  Returns
         ``None`` — callers fall back to a full sweep — when the fold has no

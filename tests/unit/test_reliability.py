@@ -138,6 +138,61 @@ class TestRetryCall:
                        deadline=spent, sleep=lambda _: None)
         assert calls["n"] == 1  # no retry starts after the deadline
 
+    def test_successful_call_constructs_no_random(self, monkeypatch):
+        from repro.reliability import retry as retry_module
+
+        built = []
+
+        class CountingRandom(retry_module.random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(retry_module.random, "Random", CountingRandom)
+        policy = RetryPolicy(attempts=3, deadline=5.0)
+        assert retry_call(lambda: "ok", policy=policy) == "ok"
+        assert built == []
+
+        calls = {"n": 0}
+
+        def flaky():
+            calls["n"] += 1
+            if calls["n"] < 2:
+                raise OSError(errno.EIO, "transient")
+            return "ok"
+
+        assert retry_call(flaky, policy=policy, sleep=lambda _: None) == "ok"
+        assert len(built) == 1  # built on the first retryable failure
+
+    def test_retry_sleeps_follow_the_seeded_delays(self):
+        policy = RetryPolicy(attempts=4, base_delay=0.01, max_delay=0.2, seed=3)
+        expected = policy.delays()
+        slept = []
+
+        def always_fails():
+            raise OSError(errno.EIO, "persistent")
+
+        with pytest.raises(OSError):
+            retry_call(always_fails, policy=policy, sleep=slept.append)
+        assert slept == [next(expected) for _ in range(3)]
+
+    def test_policy_deadline_counts_from_the_start_of_the_call(self, monkeypatch):
+        from repro.reliability import retry as retry_module
+
+        clock = {"now": 100.0}
+        monkeypatch.setattr(retry_module.time, "monotonic", lambda: clock["now"])
+        calls = {"n": 0}
+
+        def slow_failure():
+            calls["n"] += 1
+            clock["now"] += 2.0  # the first attempt alone spends the budget
+            raise OSError(errno.EIO, "slow")
+
+        with pytest.raises(OSError, match="slow"):
+            retry_call(slow_failure, policy=RetryPolicy(attempts=5, deadline=1.0, seed=0),
+                       sleep=lambda _: None)
+        assert calls["n"] == 1
+
 
 class TestFaultRule:
     def test_validation(self):

@@ -87,24 +87,24 @@ class TestChunkedCompressor:
 class TestCompressedStoreWriter:
     def test_append_after_ragged_chunk_rejected(self, tmp_path, settings):
         compressor = Compressor(settings)
-        writer = CompressedStoreWriter(tmp_path / "x.pblzc", settings)
-        writer.append(compressor.compress(smooth_field((6, 8), seed=0)))  # ragged: 6 % 4
         with pytest.raises(ValueError, match="partial block row"):
-            writer.append(compressor.compress(smooth_field((8, 8), seed=0)))
+            with CompressedStoreWriter(tmp_path / "x.pblzc", settings) as writer:
+                writer.append(compressor.compress(smooth_field((6, 8), seed=0)))  # ragged: 6 % 4
+                writer.append(compressor.compress(smooth_field((8, 8), seed=0)))
 
     def test_mismatched_settings_rejected(self, tmp_path, settings):
         other = CompressionSettings(block_shape=(8, 8), float_format="float32",
                                     index_dtype="int16")
-        writer = CompressedStoreWriter(tmp_path / "x.pblzc", settings)
         with pytest.raises(ValueError, match="do not match store"):
-            writer.append(Compressor(other).compress(smooth_field((8, 8), seed=0)))
+            with CompressedStoreWriter(tmp_path / "x.pblzc", settings) as writer:
+                writer.append(Compressor(other).compress(smooth_field((8, 8), seed=0)))
 
     def test_mismatched_trailing_shape_rejected(self, tmp_path, settings):
         compressor = Compressor(settings)
-        writer = CompressedStoreWriter(tmp_path / "x.pblzc", settings)
-        writer.append(compressor.compress(smooth_field((8, 8), seed=0)))
         with pytest.raises(ValueError, match="trailing shape"):
-            writer.append(compressor.compress(smooth_field((8, 12), seed=0)))
+            with CompressedStoreWriter(tmp_path / "x.pblzc", settings) as writer:
+                writer.append(compressor.compress(smooth_field((8, 8), seed=0)))
+                writer.append(compressor.compress(smooth_field((8, 12), seed=0)))
 
     def test_finalizing_empty_store_rejected(self, tmp_path, settings):
         writer = CompressedStoreWriter(tmp_path / "x.pblzc", settings)
