@@ -6,8 +6,8 @@ precision.  Both are implemented here as explicit rounding operations on float64
 arrays so their error contribution is reproducible and directly testable.
 
 For the formats numpy implements natively (float16/32/64) rounding is a round-trip
-cast.  ``bfloat16`` is emulated bit-exactly by round-to-nearest-even on the upper
-16 bits of the float32 representation — the same rule hardware bfloat16 units use.
+cast.  ``bfloat16`` is emulated bit-exactly by round-to-nearest-even to 8
+significant bits, done once from float64 — the same rule hardware bfloat16 units use.
 """
 
 from __future__ import annotations
@@ -25,20 +25,21 @@ def _round_to_bfloat16(values: np.ndarray) -> np.ndarray:
     """Round float values to bfloat16 (round-to-nearest-even), returned as float32.
 
     The result is exactly representable in bfloat16: the low 16 bits of its float32
-    pattern are zero.  NaNs are preserved; values exceeding the (float32-like)
-    bfloat16 range become infinities, matching a hardware cast.
+    pattern are zero.  The rounding is done once, directly from float64: going
+    through float32 first would round twice and can break ties the wrong way
+    (45219841 would become 45088768 instead of the nearest 45350912).  NaNs are
+    preserved; values exceeding the (float32-like) bfloat16 range become
+    infinities, matching a hardware cast.
     """
-    as32 = np.asarray(values, dtype=np.float32)
-    bits = as32.view(np.uint32)
-    # round-to-nearest-even on the 16 low bits we are about to drop
-    rounding_bias = np.uint32(0x7FFF) + ((bits >> np.uint32(16)) & np.uint32(1))
-    rounded = (bits + rounding_bias) & np.uint32(0xFFFF0000)
-    # NaN payloads must stay NaN: re-set a quiet NaN where the input was NaN
-    result = rounded.view(np.float32).copy()
-    nan_mask = np.isnan(as32)
-    if np.any(nan_mask):
-        result[nan_mask] = np.float32(np.nan)
-    return result
+    arr = np.asarray(values, dtype=np.float64)
+    _, exponent = np.frexp(arr)
+    # bfloat16 keeps 8 significant bits; below the smallest normal (2**-126)
+    # the quantum stays at the subnormal spacing 2**-133
+    quantum_exponent = np.maximum(exponent, -125) - 8
+    # scaling by powers of two is exact, and np.rint rounds half to even
+    rounded = np.ldexp(np.rint(np.ldexp(arr, -quantum_exponent)), quantum_exponent)
+    with np.errstate(over="ignore"):
+        return rounded.astype(np.float32)
 
 
 def round_to_format(values: np.ndarray, fmt: FloatFormat | str) -> np.ndarray:

@@ -59,6 +59,19 @@ class TestRoundToFormat:
         value = np.array([1.0 + 2.0**-8 + 2.0**-12])
         assert round_to_format(value, BFLOAT16)[0] == 1.0 + 2.0**-7
 
+    def test_bfloat16_rounds_once_from_float64(self):
+        # 45219841 lies just above the midpoint 172.5 * 2**18; rounding to float32
+        # first lands exactly on the midpoint, and the tie then goes down to even
+        value = np.array([45219841.0])
+        assert round_to_format(value, BFLOAT16)[0] == 173 * 2.0**18
+
+    def test_bfloat16_subnormals_and_overflow(self):
+        values = np.array([2.0**-133, 2.0**-134, 3 * 2.0**-135, 3.4e38, -1e300])
+        out = round_to_format(values, BFLOAT16)
+        # 2**-134 is a tie between 0 and 2**-133 and goes to the even 0
+        assert np.array_equal(out[:3], [2.0**-133, 0.0, 2.0**-133])
+        assert out[3] == np.inf and out[4] == -np.inf
+
     def test_bfloat16_preserves_nan(self):
         out = round_to_format(np.array([np.nan, 1.0]), BFLOAT16)
         assert np.isnan(out[0]) and out[1] == 1.0
