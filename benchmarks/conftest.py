@@ -3,8 +3,9 @@
 Each ``benchmarks/test_*.py`` file regenerates one table or figure of the paper:
 the pytest-benchmark timings are the figure's data points for the performance
 figures (Fig 2, 3, 7), and the experiment harnesses' formatted tables are written to
-``benchmarks/results/<name>.txt`` so they can be inspected and copied into
-EXPERIMENTS.md.
+``benchmarks/.results/<name>.txt`` (git-ignored, so a test run leaves the tracked
+tree clean) where they can be inspected and compared with the committed snapshot
+tables in ``benchmarks/results/``.
 
 Run with::
 
@@ -18,7 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-RESULTS_DIR = Path(__file__).parent / "results"
+#: Where a run writes its tables; git-ignored.  ``benchmarks/results/`` holds
+#: the committed snapshot tables and is never written by the test suite.
+RESULTS_DIR = Path(__file__).parent / ".results"
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +32,7 @@ def results_dir() -> Path:
 
 
 def write_result(results_dir: Path, name: str, text: str) -> None:
-    """Save a formatted experiment table under ``benchmarks/results/``."""
+    """Save a formatted experiment table under ``benchmarks/.results/``."""
     path = results_dir / f"{name}.txt"
     path.write_text(text + "\n")
 

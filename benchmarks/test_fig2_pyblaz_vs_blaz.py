@@ -2,7 +2,7 @@
 
 Each (system, operation, size) point of the figure is one pytest-benchmark entry;
 the summary series (and the headline speedups at the largest size) are written to
-``benchmarks/results/fig2.txt``.
+``benchmarks/.results/fig2.txt``.
 """
 
 import numpy as np

@@ -11,7 +11,7 @@ things are being demonstrated:
   is roughly the store read time; the fan-out row shows what ``map_jobs``
   recovers for multi-chunk stores.
 
-The formatted table lands in ``benchmarks/results/streaming_ops.txt``.
+The formatted table lands in ``benchmarks/.results/streaming_ops.txt``.
 """
 
 import numpy as np

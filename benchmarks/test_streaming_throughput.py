@@ -9,7 +9,7 @@ things are being demonstrated:
 * the throughput shape — tiny slabs pay per-slab overhead, huge slabs converge to
   the one-shot path, and the sweet spot in between is what the CLI defaults to.
 
-The formatted table lands in ``benchmarks/results/streaming_throughput.txt``.
+The formatted table lands in ``benchmarks/.results/streaming_throughput.txt``.
 """
 
 import numpy as np

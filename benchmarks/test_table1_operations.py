@@ -2,7 +2,7 @@
 
 Benchmarks every compressed-space operation on a representative 3-D workload and
 writes the Table I error-classification rows (compressed-space result vs the same
-operation on decompressed data) to ``benchmarks/results/table1.txt``.
+operation on decompressed data) to ``benchmarks/.results/table1.txt``.
 """
 
 import numpy as np

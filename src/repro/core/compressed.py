@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .pruning import unflatten_kept
 from .settings import CompressionSettings
 
-__all__ = ["CompressedArray"]
+__all__ = ["CompressedArray", "concatenate_rows"]
 
 
 @dataclass
@@ -243,3 +244,45 @@ class CompressedArray:
                 raise ZeroDivisionError("division of a compressed array by zero")
             return multiply_scalar(self, 1.0 / divisor)
         return NotImplemented
+
+
+def concatenate_rows(chunks: Sequence[CompressedArray]) -> CompressedArray:
+    """Join block-aligned chunks along grid axis 0 into one :class:`CompressedArray`.
+
+    The result holds the chunks' per-block maxima and index rows in order, so
+    every block of it carries exactly the bits it had in its chunk.  Chunks
+    must share their settings and trailing shape, and every chunk but the
+    last must span a whole number of blocks along axis 0 — otherwise the
+    chunks' blocks would not tile the joined array.  Raises ``ValueError``
+    when they do not.  The result owns fresh arrays, even for one chunk.
+    """
+    if not chunks:
+        raise ValueError("cannot concatenate zero chunks")
+    first = chunks[0]
+    settings = first.settings
+    trailing = first.shape[1:]
+    block_rows = settings.block_shape[0]
+    rows = 0
+    for position, chunk in enumerate(chunks):
+        if chunk.settings is not settings and chunk.settings != settings:
+            raise ValueError(
+                f"chunk {position} has different compression settings "
+                f"({chunk.settings.describe()} vs {settings.describe()})"
+            )
+        if chunk.shape[1:] != trailing:
+            raise ValueError(
+                f"chunk {position} has trailing shape {chunk.shape[1:]}, "
+                f"expected {trailing}"
+            )
+        if position < len(chunks) - 1 and chunk.shape[0] % block_rows:
+            raise ValueError(
+                f"chunk {position} has {chunk.shape[0]} rows, not a multiple of "
+                f"the block extent {block_rows}; only the last chunk may be ragged"
+            )
+        rows += chunk.shape[0]
+    return CompressedArray(
+        settings=settings,
+        shape=(rows,) + trailing,
+        maxima=np.concatenate([chunk.maxima for chunk in chunks], axis=0),
+        indices=np.concatenate([chunk.indices for chunk in chunks], axis=0),
+    )

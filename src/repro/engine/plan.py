@@ -26,13 +26,23 @@ three steps:
    two or more coefficient-touching folds get a primed ``coefficients_cache``
    (one dense materialisation, bitwise-identical copies per fold).
 
+**Fold step = one read span**: a serial sweep over store sources folds up to
+:data:`~repro.streaming.prefetch.DEFAULT_SPAN_CHUNKS` aligned chunk tuples per
+step, joined per source into one array
+(:func:`repro.streaming.sources.aligned_spans`), so a step's fixed numpy-call
+cost is paid once per span instead of once per chunk.  Caller-supplied chunk
+iterables keep one chunk tuple per step.  The bounded-memory contract is
+therefore one read span (≤ 8 chunks) per store source, one chunk per iterable
+source, plus structural intermediates.
+
 **Pass-count guarantee**: ``plan.n_passes`` is 1 when no requested reduction is
 two-pass, else 2; a source is decoded only in the passes whose terms reference
 it (``plan.decode_passes``), at exactly one decode per chunk per pass.
 
 **Bit-identity guarantee**: every fused scalar equals the corresponding
 sequential :mod:`repro.streaming.ops` call bit for bit — the per-block partial
-sums are computed by the same partials on the same chunk bits, and
+sums are computed by the same partials on the same block bits (each block's
+sum reduces over that block's own elements, whatever span carries it), and
 :func:`repro.core.ops.folds.total` finalizes with the correctly rounded sum
 (``math.fsum``'s result) of the same per-chunk vectors.  Each term's total is
 computed once per execution, however many outputs share the term.
@@ -49,7 +59,9 @@ Executor fan-out: with an ``executor`` (any :class:`repro.parallel.BlockExecutor
 and store-only sources, each pass dispatches one *batched multi-partial job*
 per chunk through :meth:`BlockExecutor.map_jobs` — the worker decodes the
 chunk tuple once and returns every fused partial's state — and states combine
-in chunk order, keeping results identical to the serial sweep.
+in chunk order, keeping results identical to the serial sweep.  Workers read
+through their own store objects, so the parent credits each completed sweep
+to its stores' ``chunks_read``: the counters match the serial path.
 """
 
 from __future__ import annotations
@@ -65,7 +77,8 @@ from ..core.ops import folds
 from ..kernels import DEFAULT_BACKEND
 from ..reliability import faults
 from ..streaming.sharded import ShardedStore, open_store
-from ..streaming.sources import (STORE_TYPES, aligned_chunks, check_stores,
+from ..streaming.prefetch import resolve_depth
+from ..streaming.sources import (STORE_TYPES, aligned_spans, check_stores,
                                  require_pyblaz)
 from ..streaming.store import CompressedStore
 from . import compile as plan_compile
@@ -116,10 +129,11 @@ def _step_layout(program: tuple, terms: tuple) -> tuple[tuple, tuple]:
 
 def _evaluate_chunk_terms(program: tuple, values: dict, terms: tuple,
                           extras: tuple) -> list[folds.FoldState]:
-    """One fused chunk step: structural nodes, shared caches, every term's partial.
+    """One fused step: structural nodes, shared caches, every term's partial.
 
     ``values`` arrives holding the decoded source chunks for this step (slot →
-    :class:`CompressedArray`); structural slots are filled by the in-memory
+    :class:`CompressedArray`: one chunk, or one read span of chunks joined
+    along grid axis 0); structural slots are filled by the in-memory
     :mod:`repro.core.ops` operations in slot (topological) order.  Chunks that
     feed two or more coefficient-touching folds get a primed
     ``coefficients_cache`` so the dense coefficient array is materialised once
@@ -197,6 +211,14 @@ def _plan_pass_job(program: tuple, paths: tuple, terms: tuple, extras: tuple,
                         # interpreted path — the decoded chunks are untouched
                         pass
     return _evaluate_chunk_terms(program, values, terms, extras)
+
+
+def _readahead_depth(sources: tuple, prefetch: int | None) -> int:
+    """The span window a serial sweep over ``sources`` reads ahead with (0: none)."""
+    return max((resolve_depth(prefetch, n_chunks=source.n_chunks)
+                for source in sources
+                if isinstance(source, STORE_TYPES) and source.n_chunks > 1),
+               default=0)
 
 
 # ------------------------------------------------------------------ the plan
@@ -460,13 +482,17 @@ class Plan:
         """Execute one pass; return the combined state per term (pass order).
 
         Each :class:`PassGroup` runs its own aligned sweep over its connected
-        source set.  Serial (``executor=None`` or non-store sources): chunk
-        tuples stream through one at a time, so peak memory is one chunk per
-        decoded source plus any structural intermediates.  With an executor
+        source set.  Serial (``executor=None`` or non-store sources): steps
+        fold one read span of up to ``DEFAULT_SPAN_CHUNKS`` chunk tuples when
+        every group source is a store, else one chunk tuple
+        (:func:`repro.streaming.sources.aligned_spans`), so peak memory is one
+        span per store source, or one chunk per iterable source, plus any
+        structural intermediates.  With an executor
         and store-only group sources, one batched multi-partial job per chunk
         fans out via ``map_jobs`` and states combine in chunk order —
         deterministic and bit-identical to the serial sweep because the
-        combine is exact.
+        combine is exact; each group store's ``chunks_read`` is credited with
+        the sweep the workers performed.
 
         Under a non-default ``backend``, each group that *lowers*
         (:func:`repro.engine.compile.lower_terms` — all-leaf-source terms
@@ -477,8 +503,9 @@ class Plan:
         and JIT compile seconds reported via :attr:`last_execution`.
 
         ``prefetch`` passes through to the serial path's aligned iterator
-        (:func:`repro.streaming.sources.aligned_chunks`): store sources read
-        ahead through the pipelined prefetcher, and the time this sweep still
+        (:func:`repro.streaming.sources.aligned_spans`): store sources read
+        ahead through the pipelined prefetcher, ``run_stats["prefetch_depth"]``
+        records the deepest window a sweep used, and the time this sweep still
         spends *blocked* waiting on chunks accumulates into
         ``run_stats["io_seconds"]`` — with readahead working, that approaches
         zero even though the same records were read.
@@ -529,6 +556,10 @@ class Plan:
                          index, job_backend)
                         for index in range(n_chunks)]
                 per_chunk = executor.map_jobs(_plan_pass_job, jobs)
+                # the workers read through their own store objects; credit
+                # the sweep here so the counters match the serial path
+                for _, source in source_items:
+                    source.note_full_read()
                 collected = [list(states) for states in zip(*per_chunk)]
                 if not collected:
                     collected = [[] for _ in group.terms]
@@ -538,7 +569,11 @@ class Plan:
                 slots = tuple(slot for slot, _ in source_items)
                 kernel = None
                 kernel_resolved = False
-                iterator = aligned_chunks(sources, prefetch=prefetch)
+                run_stats["prefetch_depth"] = max(
+                    run_stats["prefetch_depth"],
+                    _readahead_depth(sources, prefetch),
+                )
+                iterator = aligned_spans(sources, prefetch=prefetch)
                 sentinel = object()
                 try:
                     while True:
@@ -612,9 +647,11 @@ class Plan:
         (``docs/performance.md``): ``None`` auto-enables it, ``0`` keeps the
         strictly serial read→decode loop, a positive integer sets the
         in-flight span window.  Results are bit-identical either way.
-        :attr:`last_execution` reports the resolved ``prefetch_depth`` and
-        ``io_seconds`` — the wall time sweeps spent blocked waiting on chunk
-        fetches.
+        :attr:`last_execution` reports ``prefetch_depth`` — the deepest
+        readahead window any sweep used, 0 when none read ahead (executor
+        fan-out, iterable sources, partial-served groups, one-chunk stores) —
+        and ``io_seconds`` — the wall time sweeps spent blocked waiting on
+        chunk fetches.
 
         ``backend`` selects the kernel backend executing the fused chunk
         steps (registry names — see ``repro backends``): the default
@@ -630,8 +667,7 @@ class Plan:
         what actually ran.
         """
         self._validate_sources()
-        from ..streaming.prefetch import resolve_depth
-
+        resolve_depth(prefetch)  # reject a negative depth even if nothing reads ahead
         requested = backend if backend is not None else self.default_backend
         resolved, fallback = plan_compile.resolve_backend(requested, self.sources)
         run_stats = {
@@ -644,7 +680,7 @@ class Plan:
             "runtime_fallbacks": 0,
             "compile_seconds": 0.0,
             "io_seconds": 0.0,
-            "prefetch_depth": resolve_depth(prefetch),
+            "prefetch_depth": 0,
         }
         states: dict = {}
         means: dict[int, float] = {}

@@ -59,7 +59,7 @@ import numpy as np
 from ..codecs.base import Codec
 from ..codecs.registry import get_codec
 from ..codecs.serialization import DECODE_ERRORS
-from ..core.compressed import CompressedArray
+from ..core.compressed import CompressedArray, concatenate_rows
 from ..core.exceptions import CodecError
 from ..core.ops import folds
 from ..core.settings import CompressionSettings
@@ -576,6 +576,14 @@ class ShardedStore:
             yield run_shard, run
 
     # -------------------------------------------------------------- chunk access
+    def note_full_read(self) -> None:
+        """Count one logical read of every chunk, each on its own shard.
+
+        The sharded counterpart of :meth:`CompressedStore.note_full_read`.
+        """
+        for index in range(self.n_shards):
+            self.shard(index).note_full_read()
+
     def read_chunk(self, index: int):
         """Decode global chunk ``index`` (lazily opening its shard)."""
         shard_index, local, _, _ = self._index[index]
@@ -622,12 +630,7 @@ class ShardedStore:
                 f"load_compressed assembles pyblaz chunks; this store holds "
                 f"{self.codec_name!r} streams — use load() or iter_chunks()"
             )
-        maxima = np.concatenate([chunk.maxima for chunk in chunks], axis=0)
-        indices = np.concatenate([chunk.indices for chunk in chunks], axis=0)
-        return CompressedArray(
-            settings=chunks[0].settings, shape=self.shape, maxima=maxima,
-            indices=indices,
-        )
+        return concatenate_rows(chunks)
 
     def load(self) -> np.ndarray:
         """Decompress the whole (shard-assembled) array, one chunk at a time."""

@@ -11,10 +11,12 @@ the engine depends downward on streaming (never the reverse).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Sequence
 
-from ..core.compressed import CompressedArray
+from ..core.compressed import CompressedArray, concatenate_rows
 from ..core.exceptions import CodecError
+from .prefetch import DEFAULT_SPAN_CHUNKS
 from .sharded import ShardedStore
 from .store import CompressedStore
 
@@ -23,6 +25,7 @@ __all__ = [
     "require_pyblaz",
     "source_chunks",
     "aligned_chunks",
+    "aligned_spans",
     "check_stores",
 ]
 
@@ -91,6 +94,45 @@ def aligned_chunks(sources: tuple, *, prefetch: int | None = None) -> Iterator[t
             close = getattr(iterator, "close", None)
             if close is not None:
                 close()
+
+
+def aligned_spans(sources: tuple, *, prefetch: int | None = None) -> Iterator[tuple]:
+    """Yield aligned chunk tuples batched by read span: the fused engine's step unit.
+
+    When every source is an open store, up to :data:`DEFAULT_SPAN_CHUNKS`
+    consecutive tuples of :func:`aligned_chunks` are joined per source with
+    :func:`~repro.core.compressed.concatenate_rows`, so one fold step covers a
+    whole span — the readahead pipeline already holds that span in flight.
+    Every per-block value of a joined chunk has its chunk's bits, so folds
+    over spans equal folds over chunks exactly.  Caller-supplied iterables
+    keep one chunk tuple per step: their memory bound is one chunk per source.
+    """
+    iterator = aligned_chunks(sources, prefetch=prefetch)
+    if not all(isinstance(source, STORE_TYPES) for source in sources):
+        return iterator
+    return _batched(iterator)
+
+
+def _batched(iterator) -> Iterator[tuple]:
+    """Join up to :data:`DEFAULT_SPAN_CHUNKS` aligned tuples per yielded tuple."""
+    try:
+        while True:
+            batch = list(islice(iterator, DEFAULT_SPAN_CHUNKS))
+            if not batch:
+                return
+            span = _join(batch)
+            batch = None  # hold only the joined span while it is folded
+            yield span
+            span = None  # release it before decoding the next
+    finally:
+        iterator.close()
+
+
+def _join(batch: list[tuple]) -> tuple:
+    """One joined chunk per source from a batch of aligned tuples."""
+    if len(batch) == 1:
+        return batch[0]
+    return tuple(concatenate_rows(column) for column in zip(*batch))
 
 
 def check_stores(sources: Sequence) -> None:

@@ -66,7 +66,7 @@ from ..core.codec import (
     unpack_floats,
     unpack_type_codes,
 )
-from ..core.compressed import CompressedArray
+from ..core.compressed import CompressedArray, concatenate_rows
 from ..core.exceptions import CodecError, IntegrityError
 from ..core.settings import CompressionSettings
 from ..reliability import faults
@@ -535,10 +535,20 @@ class CompressedStore:
         with self._lock:
             self.chunks_prefetched += count
 
-    def _note_read(self) -> None:
-        """Count one consumed (logical) chunk read, as :meth:`read_chunk` does."""
+    def _note_read(self, count: int = 1) -> None:
+        """Count ``count`` consumed (logical) chunk reads, as :meth:`read_chunk` does."""
         with self._lock:
-            self.chunks_read += 1
+            self.chunks_read += count
+
+    def note_full_read(self) -> None:
+        """Count one logical read of every chunk, performed by another store object.
+
+        Executor workers reopen a store by path, so their reads land on their
+        own objects; the engine credits each completed worker sweep here, so
+        :attr:`chunks_read` rises by :attr:`n_chunks` per pass on every
+        execution path.
+        """
+        self._note_read(self.n_chunks)
 
     def _record_extent(self, index: int) -> tuple[int, int, int | None]:
         """Chunk ``index``'s file extent as ``(offset, n_bytes, crc | None)``.
@@ -812,11 +822,7 @@ class CompressedStore:
                 f"load_compressed assembles pyblaz chunks; this store holds "
                 f"{self.codec_name!r} streams — use load() or iter_chunks()"
             )
-        maxima = np.concatenate([chunk.maxima for chunk in chunks], axis=0)
-        indices = np.concatenate([chunk.indices for chunk in chunks], axis=0)
-        return CompressedArray(
-            settings=chunks[0].settings, shape=self.shape, maxima=maxima, indices=indices
-        )
+        return concatenate_rows(chunks)
 
     # ------------------------------------------------------------------ decompression
     def load(self) -> np.ndarray:
