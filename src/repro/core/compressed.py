@@ -246,6 +246,15 @@ class CompressedArray:
         return NotImplemented
 
 
+def _same_format(a: CompressionSettings, b: CompressionSettings) -> bool:
+    """Whether chunks compressed under ``a`` and ``b`` store blocks the same way.
+
+    Compares pruning masks by value; the dataclass ``==`` would compare the
+    mask arrays elementwise and fail on two equal pruned settings objects.
+    """
+    return a.is_compatible_with(b) and a.float_format == b.float_format
+
+
 def concatenate_rows(chunks: Sequence[CompressedArray]) -> CompressedArray:
     """Join block-aligned chunks along grid axis 0 into one :class:`CompressedArray`.
 
@@ -264,7 +273,8 @@ def concatenate_rows(chunks: Sequence[CompressedArray]) -> CompressedArray:
     block_rows = settings.block_shape[0]
     rows = 0
     for position, chunk in enumerate(chunks):
-        if chunk.settings is not settings and chunk.settings != settings:
+        if (chunk.settings is not settings
+                and not _same_format(chunk.settings, settings)):
             raise ValueError(
                 f"chunk {position} has different compression settings "
                 f"({chunk.settings.describe()} vs {settings.describe()})"

@@ -32,7 +32,8 @@ inherit that tolerance — see ``docs/ops.md`` for the per-operation contracts.
 The partial state costs one float64 per block and per tracked quantity — a
 ``Π block_extents``-fold reduction of the data (64× for the default 4³ blocks).
 Chunk coefficients are materialised transiently, one fold step at a time: the
-engine's serial sweeps fold one read span (≤ 8 block-aligned chunks joined by
+engine's serial sweeps fold one span (≤ 8 block-aligned chunks and
+≤ 65,536 coefficients, or one larger chunk, joined by
 :func:`repro.core.compressed.concatenate_rows`) per store source, or one chunk
 per caller-supplied iterable source.  Point 2 above makes the span's partials
 the chunks' partials, concatenated.

@@ -26,13 +26,15 @@ three steps:
    two or more coefficient-touching folds get a primed ``coefficients_cache``
    (one dense materialisation, bitwise-identical copies per fold).
 
-**Fold step = one read span**: a serial sweep over store sources folds up to
-:data:`~repro.streaming.prefetch.DEFAULT_SPAN_CHUNKS` aligned chunk tuples per
-step, joined per source into one array
-(:func:`repro.streaming.sources.aligned_spans`), so a step's fixed numpy-call
-cost is paid once per span instead of once per chunk.  Caller-supplied chunk
-iterables keep one chunk tuple per step.  The bounded-memory contract is
-therefore one read span (≤ 8 chunks) per store source, one chunk per iterable
+**Fold step = one span of small chunks**: a serial sweep over store sources
+joins consecutive aligned chunk tuples per source into one array while the
+step holds ≤ 8 chunks and ≤ 65,536 coefficients
+(:func:`repro.streaming.sources.fold_steps`; a larger chunk folds alone), so
+a small-chunk step's fixed numpy-call cost is paid once per span instead of
+once per chunk (:func:`repro.streaming.sources.aligned_spans`).
+Caller-supplied chunk iterables keep one chunk tuple per step.  The
+bounded-memory contract is therefore one span (≤ 8 chunks and ≤ 65,536
+coefficients, or one larger chunk) per store source, one chunk per iterable
 source, plus structural intermediates.
 
 **Pass-count guarantee**: ``plan.n_passes`` is 1 when no requested reduction is
@@ -77,7 +79,7 @@ from ..core.ops import folds
 from ..kernels import DEFAULT_BACKEND
 from ..reliability import faults
 from ..streaming.sharded import ShardedStore, open_store
-from ..streaming.prefetch import resolve_depth
+from ..streaming.prefetch import readahead_depth, resolve_depth
 from ..streaming.sources import (STORE_TYPES, aligned_spans, check_stores,
                                  require_pyblaz)
 from ..streaming.store import CompressedStore
@@ -132,7 +134,7 @@ def _evaluate_chunk_terms(program: tuple, values: dict, terms: tuple,
     """One fused step: structural nodes, shared caches, every term's partial.
 
     ``values`` arrives holding the decoded source chunks for this step (slot →
-    :class:`CompressedArray`: one chunk, or one read span of chunks joined
+    :class:`CompressedArray`: one chunk, or one span of chunks joined
     along grid axis 0); structural slots are filled by the in-memory
     :mod:`repro.core.ops` operations in slot (topological) order.  Chunks that
     feed two or more coefficient-touching folds get a primed
@@ -211,14 +213,6 @@ def _plan_pass_job(program: tuple, paths: tuple, terms: tuple, extras: tuple,
                         # interpreted path — the decoded chunks are untouched
                         pass
     return _evaluate_chunk_terms(program, values, terms, extras)
-
-
-def _readahead_depth(sources: tuple, prefetch: int | None) -> int:
-    """The span window a serial sweep over ``sources`` reads ahead with (0: none)."""
-    return max((resolve_depth(prefetch, n_chunks=source.n_chunks)
-                for source in sources
-                if isinstance(source, STORE_TYPES) and source.n_chunks > 1),
-               default=0)
 
 
 # ------------------------------------------------------------------ the plan
@@ -483,11 +477,11 @@ class Plan:
 
         Each :class:`PassGroup` runs its own aligned sweep over its connected
         source set.  Serial (``executor=None`` or non-store sources): steps
-        fold one read span of up to ``DEFAULT_SPAN_CHUNKS`` chunk tuples when
-        every group source is a store, else one chunk tuple
-        (:func:`repro.streaming.sources.aligned_spans`), so peak memory is one
-        span per store source, or one chunk per iterable source, plus any
-        structural intermediates.  With an executor
+        fold one span of small chunk tuples when every group source is a
+        store (:func:`repro.streaming.sources.fold_steps`), else one chunk
+        tuple (:func:`repro.streaming.sources.aligned_spans`), so peak memory
+        is one span per store source, or one chunk per iterable source, plus
+        any structural intermediates.  With an executor
         and store-only group sources, one batched multi-partial job per chunk
         fans out via ``map_jobs`` and states combine in chunk order —
         deterministic and bit-identical to the serial sweep because the
@@ -570,8 +564,9 @@ class Plan:
                 kernel = None
                 kernel_resolved = False
                 run_stats["prefetch_depth"] = max(
-                    run_stats["prefetch_depth"],
-                    _readahead_depth(sources, prefetch),
+                    [run_stats["prefetch_depth"]]
+                    + [readahead_depth(source, prefetch) for source in sources
+                       if isinstance(source, STORE_TYPES)]
                 )
                 iterator = aligned_spans(sources, prefetch=prefetch)
                 sentinel = object()

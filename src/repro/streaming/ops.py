@@ -40,10 +40,12 @@ the bounded-window ordered :meth:`BlockExecutor.imap_jobs
 <repro.parallel.BlockExecutor.imap_jobs>`, so workers decode and transform
 concurrently while the writer appends in deterministic chunk order.
 
-Memory contract: a serial reduction folds at most **one read span (≤ 8
-chunks) per store source, or one chunk per iterable source** at a time, and a
-serial structural op transforms one chunk (pair) at a time; partial states are
-one float64 per block per tracked quantity.  With an ``executor`` (any :class:`repro.parallel.BlockExecutor`),
+Memory contract: a serial reduction folds at most **one span (≤ 8
+chunks and ≤ 65,536 coefficients, or one larger chunk) per store source, or one
+chunk per iterable source** at a time, and a serial structural op transforms
+one chunk (pair) at a time; partial states are one float64 per block per
+tracked quantity.  With an ``executor`` (any
+:class:`repro.parallel.BlockExecutor`),
 per-chunk work fans out through the executor's job hooks — up to ``n_workers``
 chunks decode concurrently (each worker reopens the store, so process pools
 work too), and combine/append order is fixed by chunk order, keeping results

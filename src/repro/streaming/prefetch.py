@@ -48,6 +48,7 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "ChunkPrefetcher",
     "coalesce_spans",
+    "readahead_depth",
     "resolve_depth",
     "warm_store_cache",
     "DEFAULT_PREFETCH_WORKERS",
@@ -90,6 +91,18 @@ def resolve_depth(prefetch: int | None, *, n_chunks: int | None = None,
     if depth < 0:
         raise ValueError(f"prefetch depth must be >= 0, got {prefetch!r}")
     return depth
+
+
+def readahead_depth(store, prefetch: int | None) -> int:
+    """The span window ``store.iter_chunks(prefetch=prefetch)`` reads ahead with.
+
+    ``0`` means the serial read loop: readahead disabled, auto mode on a store
+    of few chunks, or a store of at most one chunk (nothing to read ahead of).
+    Both stores' ``iter_chunks`` and the engine's ``prefetch_depth`` report
+    take the depth from here.
+    """
+    depth = resolve_depth(prefetch, n_chunks=store.n_chunks)
+    return depth if store.n_chunks > 1 else 0
 
 
 def coalesce_spans(extents: Sequence[tuple[int, int, int]], *,

@@ -415,8 +415,9 @@ class ShardedStore:
     codec_name, shape, revision:
         Straight from the manifest (no shard file is opened).
     chunks_read, chunks_prefetched, preads, read_retries:
-        Sums over the shards opened so far — the same instrumentation
-        contract tests rely on for single stores.
+        Sums over the shards opened so far (``chunks_read`` also counts
+        executor-credited reads of shards not yet open) — the same
+        instrumentation contract tests rely on for single stores.
     chunk_cache:
         Optional decoded-chunk cache, propagated to every shard; entries key
         by each *shard's* path, so invalidation stays per shard.
@@ -439,6 +440,8 @@ class ShardedStore:
         self._chunk_cache = None
         self._shards: dict[int, CompressedStore] = {}
         self._partials: dict[int, dict] = {}
+        # credited reads of shards not yet open (see note_full_read)
+        self._unopened_reads: dict[int, int] = {}
         # global chunk index: (shard index, local chunk index, n_rows, row_start)
         self._index: list[tuple[int, int, int, int]] = []
         row_start = 0
@@ -475,8 +478,9 @@ class ShardedStore:
 
     @property
     def chunks_read(self) -> int:
-        """Logical chunk reads so far, summed over the opened shards."""
-        return sum(shard.chunks_read for shard in self._shards.values())
+        """Logical chunk reads so far: the opened shards' plus credited ones."""
+        return (sum(shard.chunks_read for shard in self._shards.values())
+                + sum(self._unopened_reads.values()))
 
     @property
     def chunks_prefetched(self) -> int:
@@ -544,6 +548,7 @@ class ShardedStore:
                 store.chunk_cache = self._chunk_cache
             if self._codec is not None:
                 store.use_codec(self._codec)
+            store._note_read(self._unopened_reads.pop(index, 0))
             self._shards[index] = store
         return store
 
@@ -580,9 +585,16 @@ class ShardedStore:
         """Count one logical read of every chunk, each on its own shard.
 
         The sharded counterpart of :meth:`CompressedStore.note_full_read`.
+        Reads of a shard not yet open are held here and handed to it when
+        :meth:`shard` opens it, so crediting opens no file.
         """
-        for index in range(self.n_shards):
-            self.shard(index).note_full_read()
+        for index, entry in enumerate(self._entries):
+            store = self._shards.get(index)
+            if store is not None:
+                store.note_full_read()
+            else:
+                self._unopened_reads[index] = (self._unopened_reads.get(index, 0)
+                                               + len(entry["chunk_rows"]))
 
     def read_chunk(self, index: int):
         """Decode global chunk ``index`` (lazily opening its shard)."""
@@ -598,9 +610,9 @@ class ShardedStore:
         window does, so the next shard's records are already in flight while
         the previous shard's tail decodes).
         """
-        from .prefetch import ChunkPrefetcher, resolve_depth
+        from .prefetch import ChunkPrefetcher, readahead_depth
 
-        depth = resolve_depth(prefetch, n_chunks=self.n_chunks)
+        depth = readahead_depth(self, prefetch)
         if depth == 0:
             for index in range(self.n_chunks):
                 yield self.read_chunk(index)

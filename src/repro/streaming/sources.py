@@ -11,12 +11,13 @@ the engine depends downward on streaming (never the reverse).
 
 from __future__ import annotations
 
-from itertools import islice
+import math
+from itertools import accumulate, islice, pairwise
 from typing import Iterator, Sequence
 
 from ..core.compressed import CompressedArray, concatenate_rows
 from ..core.exceptions import CodecError
-from .prefetch import DEFAULT_SPAN_CHUNKS
+from .prefetch import DEFAULT_SPAN_CHUNKS, coalesce_spans
 from .sharded import ShardedStore
 from .store import CompressedStore
 
@@ -26,6 +27,8 @@ __all__ = [
     "source_chunks",
     "aligned_chunks",
     "aligned_spans",
+    "fold_steps",
+    "FOLD_STEP_COEFFICIENTS",
     "check_stores",
 ]
 
@@ -96,30 +99,54 @@ def aligned_chunks(sources: tuple, *, prefetch: int | None = None) -> Iterator[t
                 close()
 
 
-def aligned_spans(sources: tuple, *, prefetch: int | None = None) -> Iterator[tuple]:
-    """Yield aligned chunk tuples batched by read span: the fused engine's step unit.
+#: Coefficients one fold step may hold (512 KiB of dense float64 per source).
+#: Joining chunks pays only while a step's fixed numpy-call cost is large next
+#: to its arithmetic; measured on a 2-vCPU Xeon, steps past this budget lose
+#: time and memory to the join and to cache misses (``docs/performance.md``).
+FOLD_STEP_COEFFICIENTS = 1 << 16
 
-    When every source is an open store, up to :data:`DEFAULT_SPAN_CHUNKS`
-    consecutive tuples of :func:`aligned_chunks` are joined per source with
-    :func:`~repro.core.compressed.concatenate_rows`, so one fold step covers a
-    whole span — the readahead pipeline already holds that span in flight.
-    Every per-block value of a joined chunk has its chunk's bits, so folds
-    over spans equal folds over chunks exactly.  Caller-supplied iterables
-    keep one chunk tuple per step: their memory bound is one chunk per source.
+
+def fold_steps(sources: tuple) -> list[int]:
+    """Chunk counts of the fused engine's successive fold steps over store ``sources``.
+
+    The read-span rule (:func:`~repro.streaming.prefetch.coalesce_spans`)
+    applied to the chunks' coefficient counts: a step joins consecutive
+    chunks while it holds at most :data:`DEFAULT_SPAN_CHUNKS` chunks and
+    :data:`FOLD_STEP_COEFFICIENTS` coefficients, and a chunk over the budget
+    folds alone, exactly as a caller iterable's chunk does.  Sweeps require
+    identically chunked sources, so the first source's chunking decides.
+    """
+    first = sources[0]
+    row_size = math.prod(first.shape[1:])
+    offsets = accumulate((rows * row_size for rows in first.chunk_rows), initial=0)
+    extents = [(index, offset, stop - offset)
+               for index, (offset, stop) in enumerate(pairwise(offsets))]
+    return [len(span) for span in coalesce_spans(
+        extents, max_bytes=FOLD_STEP_COEFFICIENTS, max_chunks=DEFAULT_SPAN_CHUNKS)]
+
+
+def aligned_spans(sources: tuple, *, prefetch: int | None = None) -> Iterator[tuple]:
+    """Yield aligned chunk tuples batched into spans: the fused engine's step unit.
+
+    When every source is an open store, the tuples of each
+    :func:`fold_steps` step are joined per source with
+    :func:`~repro.core.compressed.concatenate_rows`, so one fold step covers
+    a span of small chunks.  Every per-block value of a joined chunk has its
+    chunk's bits, so folds over spans equal folds over chunks exactly.
+    Caller-supplied iterables keep one chunk tuple per step: their memory
+    bound is one chunk per source.
     """
     iterator = aligned_chunks(sources, prefetch=prefetch)
     if not all(isinstance(source, STORE_TYPES) for source in sources):
         return iterator
-    return _batched(iterator)
+    return _batched(iterator, sources)
 
 
-def _batched(iterator) -> Iterator[tuple]:
-    """Join up to :data:`DEFAULT_SPAN_CHUNKS` aligned tuples per yielded tuple."""
+def _batched(iterator, sources: tuple) -> Iterator[tuple]:
+    """Join each fold step's aligned tuples into one tuple of joined chunks."""
     try:
-        while True:
-            batch = list(islice(iterator, DEFAULT_SPAN_CHUNKS))
-            if not batch:
-                return
+        for size in fold_steps(sources):
+            batch = list(islice(iterator, size))
             span = _join(batch)
             batch = None  # hold only the joined span while it is folded
             yield span

@@ -735,9 +735,9 @@ class CompressedStore:
         Chunk order, values, counters and error positions are identical either
         way — prefetching only overlaps record fetches with decoding.
         """
-        from .prefetch import ChunkPrefetcher, resolve_depth
+        from .prefetch import ChunkPrefetcher, readahead_depth
 
-        depth = resolve_depth(prefetch, n_chunks=self.n_chunks)
+        depth = readahead_depth(self, prefetch)
         if depth == 0:
             for index in range(self.n_chunks):
                 yield self.read_chunk(index)

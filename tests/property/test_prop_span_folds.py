@@ -6,20 +6,23 @@ per-block partial sum reduces over that block's own elements, and the exact
 finalize does not depend on how the per-block vectors were grouped, so every
 fused scalar must ``==`` :mod:`repro.core.ops` on the store's assembled
 :meth:`load_compressed` array.  Hypothesis sweeps 2-D and 3-D blocks, chunk
-sizes with ragged last chunks, structural ``scale``/``negate``/``add``/
-``subtract`` nodes, and sharded stores whose shard boundaries fall inside a
-span.
+sizes with ragged last chunks, pruning masks, structural ``scale``/
+``negate``/``add``/``subtract`` nodes, sharded stores whose shard boundaries
+fall inside a span, and chunks that decode with distinct but equal settings
+objects.
 """
 
 import tempfile
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro import engine
-from repro.core import CompressionSettings, ops
+from repro.core import CompressionSettings, codec, ops
+from repro.core.pruning import corner_pruning_mask
 from repro.engine import expr
 from repro.streaming import (
     ChunkedCompressor,
@@ -50,6 +53,13 @@ WRAPPERS = {
 }
 
 
+class _NeverCached(dict):
+    """A settings cache that never hits: every decoded chunk gets its own object."""
+
+    def get(self, key, default=None):
+        return default
+
+
 @st.composite
 def span_case(draw):
     """Two arrays, block settings, chunking (maybe ragged), layout, ops, wrapper."""
@@ -60,10 +70,13 @@ def span_case(draw):
     ragged = draw(st.integers(0, block_rows - 1))
     rows = n_full * slab_rows + ragged
     tail = tuple(draw(st.integers(1, 9)) for _ in block[1:])
+    pruned = draw(st.booleans())
     settings = CompressionSettings(
         block_shape=block,
         float_format=draw(st.sampled_from(["float32", "float64"])),
         index_dtype=draw(st.sampled_from(["int8", "int16"])),
+        pruning_mask=(corner_pruning_mask(block, [extent // 2 for extent in block])
+                      if pruned else None),
     )
     # shard boundaries, in whole chunks; boundaries off multiples of the span
     # size land inside a span
@@ -77,7 +90,9 @@ def span_case(draw):
     shape = (rows,) + tail
     a = np.cumsum(rng.standard_normal(shape), axis=0) * 0.05
     b = np.cumsum(rng.standard_normal(shape), axis=0) * 0.05 + 0.1
-    return a, b, settings, slab_rows, (cuts if sharded else None), names, wrapper
+    fresh_settings = draw(st.booleans())
+    return (a, b, settings, slab_rows, (cuts if sharded else None), names,
+            wrapper, fresh_settings)
 
 
 def _open(workdir: Path, name: str, array, settings, slab_rows, cuts):
@@ -111,7 +126,16 @@ class TestSpanFoldsMatchInMemory:
     @given(case=span_case())
     @hyp_settings(max_examples=40, deadline=None)
     def test_fused_scalars_equal_core_ops(self, case):
-        a, b, settings, slab_rows, cuts, names, wrapper = case
+        a, b, settings, slab_rows, cuts, names, wrapper, fresh_settings = case
+        with ExitStack() as stack:
+            if fresh_settings:
+                stack.enter_context(
+                    mock.patch.object(codec, "_DECODED_SETTINGS", _NeverCached())
+                )
+            self._check(a, b, settings, slab_rows, cuts, names, wrapper)
+
+    @staticmethod
+    def _check(a, b, settings, slab_rows, cuts, names, wrapper):
         with _stores(a, b, settings, slab_rows, cuts) as (store_a, store_b):
             if cuts is not None:
                 assert store_a.n_shards == len(cuts) + 1

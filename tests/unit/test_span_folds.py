@@ -1,22 +1,25 @@
 """Span-batched fused sweeps, the row-concatenation helper and executor counters.
 
-Serial plan sweeps over store sources fold one read span (up to
-``DEFAULT_SPAN_CHUNKS`` aligned chunk tuples, joined per source with
-:func:`repro.core.compressed.concatenate_rows`) per step; caller-supplied
-iterables keep one chunk per step.  These tests pin the step counts, the
+Serial plan sweeps over store sources fold one span per step (at most
+``DEFAULT_SPAN_CHUNKS`` chunks and ``FOLD_STEP_COEFFICIENTS`` coefficients,
+aligned chunk tuples joined per source with
+:func:`repro.core.compressed.concatenate_rows`); caller-supplied iterables
+keep one chunk per step.  These tests pin the step counts, the
 helper's contract, and that work counters (``chunks_read``,
 ``prefetch_depth``) report the same truth on every execution path.
 """
 
 import importlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import engine
-from repro.core import CompressionSettings, Compressor
+from repro.core import CompressionSettings, Compressor, ops
 from repro.core.compressed import concatenate_rows
+from repro.core.pruning import corner_pruning_mask
 from repro.engine import compile as plan_compile
 from repro.engine import expr
 from repro.parallel import ProcessExecutor
@@ -27,6 +30,7 @@ from repro.streaming import (
     init_sharded_store,
 )
 from repro.streaming.prefetch import DEFAULT_SPAN_CHUNKS
+from repro.streaming.sources import FOLD_STEP_COEFFICIENTS, fold_steps
 
 from tests.conftest import smooth_field
 
@@ -95,6 +99,33 @@ class TestConcatenateRows:
             concatenate_rows([Compressor(settings).compress(data),
                               Compressor(other).compress(data)])
 
+    def test_accepts_equal_pruned_settings_objects(self):
+        # two equal settings objects carrying a pruning mask: the dataclass
+        # ``==`` would compare the mask arrays elementwise and raise
+        first, second = (
+            CompressionSettings(block_shape=(4, 4),
+                                pruning_mask=corner_pruning_mask((4, 4), (2, 2)))
+            for _ in range(2)
+        )
+        assert first is not second
+        data = smooth_field((16, 12), seed=8)
+        chunks = [Compressor(first).compress(data[:8]),
+                  Compressor(second).compress(data[8:])]
+        joined = concatenate_rows(chunks)
+        assert np.array_equal(joined.indices,
+                              Compressor(first).compress(data).indices)
+
+    def test_rejects_a_different_pruning_mask(self):
+        data = smooth_field((8, 12), seed=8)
+        kept, pruned = (
+            CompressionSettings(block_shape=(4, 4),
+                                pruning_mask=corner_pruning_mask((4, 4), drop))
+            for drop in ((1, 1), (2, 2))
+        )
+        with pytest.raises(ValueError, match="chunk 1 has different compression"):
+            concatenate_rows([Compressor(kept).compress(data),
+                              Compressor(pruned).compress(data)])
+
     def test_rejects_different_trailing_shapes(self, settings):
         with pytest.raises(ValueError, match=r"chunk 1 has trailing shape \(8,\)"):
             concatenate_rows([
@@ -147,6 +178,37 @@ class TestStepCount:
         assert built.decode_passes == (2,)
         assert store.chunks_read - before == 2 * store.n_chunks
 
+    def test_chunks_over_the_budget_step_once_per_chunk(self, monkeypatch,
+                                                        tmp_path, settings):
+        # 512x256 chunks hold 131072 coefficients each, twice the step budget,
+        # so each folds alone, exactly as before spans
+        with ChunkedCompressor(settings, slab_rows=512).compress_to_store(
+            smooth_field((1536, 256), seed=12), tmp_path / "wide.pblzc"
+        ) as large:
+            assert 512 * 256 > FOLD_STEP_COEFFICIENTS
+            assert fold_steps((large,)) == [1, 1, 1]
+            steps = _count_calls(monkeypatch, plan_module,
+                                 "_evaluate_chunk_terms")
+            source = expr.source(large)
+            built = engine.plan({name: op(source) for name, op in REQUEST.items()})
+            values = built.execute()
+            assert len(steps) == large.n_chunks * built.n_passes
+            memory = large.load_compressed()
+            assert values == {name: getattr(ops, name)(memory) for name in REQUEST}
+
+    def test_steps_stop_at_the_chunk_cap_and_the_coefficient_budget(self):
+        # rows of 1024 coefficients: the budget is 64 rows
+        assert FOLD_STEP_COEFFICIENTS == 64 * 1024
+
+        def steps(*chunk_rows):
+            return fold_steps((SimpleNamespace(shape=(sum(chunk_rows), 32, 32),
+                                               chunk_rows=chunk_rows),))
+
+        assert steps(*[4] * 19) == [8, 8, 3]
+        # four 16-row chunks fill the budget exactly; a 64-row chunk fits
+        # alone; a 100-row chunk is over it and folds alone
+        assert steps(*[16] * 6, 64, 100, 3) == [4, 2, 1, 1, 1]
+
     def test_iterable_sources_step_once_per_chunk(self, monkeypatch, store):
         chunks = list(store.iter_chunks(prefetch=0))
         steps = _count_calls(monkeypatch, plan_module, "_evaluate_chunk_terms")
@@ -184,6 +246,10 @@ class TestExecutorAccounting:
         assert sharded.n_shards == 2
         built.execute(executor=ProcessExecutor(n_workers=2))
         assert built.last_execution["prefetch_depth"] == 0
+        # only the settings lookup opened a shard here: crediting the
+        # workers' reads opens none
+        assert set(sharded._shards) == {0}
+        assert sharded.chunks_read == 2 * sharded.n_chunks
         for index in range(sharded.n_shards):
             shard = sharded.shard(index)
             assert shard.chunks_read == 2 * shard.n_chunks
