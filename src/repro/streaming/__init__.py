@@ -22,9 +22,9 @@ Three layers:
   codec-generic writer); v1 pyblaz stores remain readable.
 * :class:`ShardedStore` (:mod:`repro.streaming.sharded`) — a manifest over N
   immutable store shards with append support and persisted per-shard fold
-  partials, so reductions over a growing store are O(new chunks); it presents
-  the single-store surface, and :func:`open_store` dispatches on the path kind
-  (``docs/sharding.md``).
+  partials, so reductions over a growing store are O(new chunks); it inherits
+  the single-store read surface (:class:`~repro.streaming.store.StoreReader`),
+  and :func:`open_store` dispatches on the path kind (``docs/sharding.md``).
 * :mod:`repro.streaming.ops` — the out-of-core compressed-domain operations:
   every Table I scalar reduction (``mean``, ``variance``,
   ``standard_deviation``, ``covariance``, ``dot``, ``l2_norm``,
@@ -36,22 +36,21 @@ Three layers:
   append order).  Results match the in-memory :mod:`repro.core.ops` on the
   assembled array bit for bit (see ``docs/ops.md``); to evaluate *several*
   reductions in fused sweeps, use :func:`repro.engine.plan` directly
-  (``docs/engine.md``).  The historical
-  ``stream_mean``/``stream_l2_norm``/``stream_dot`` names remain as
-  deprecation shims.
-* :mod:`repro.streaming.prefetch` — the pipelined chunk I/O layer
-  (``docs/performance.md``): :class:`ChunkPrefetcher` fetches coalesced
-  record spans a bounded window ahead of the consumer on a small thread
-  pool, so decode/fold work overlaps the reads while chunk order, values and
-  counters stay bit-identical to the serial loop.  Default-on via
-  ``iter_chunks(prefetch=None)`` across plans, streaming ops, sharded sweeps
-  and serving; ``prefetch=0`` restores the serial path.
+  (``docs/engine.md``).
+* :mod:`repro.streaming.prefetch` — the one chunk-span reader
+  (``docs/performance.md``) under both store kinds: adjacent records coalesce
+  into one positional read per span, each record verified once by the
+  store's record verifier.  :class:`ChunkPrefetcher` runs it a bounded window
+  ahead of the consumer on a small thread pool, so decode/fold work overlaps
+  the reads (default-on via ``iter_chunks(prefetch=None)`` across plans,
+  streaming ops, sharded sweeps and serving); :func:`inline_chunks` runs it
+  on the caller's thread for ``load_region``.  Chunk order, values, counters
+  and error positions match the serial ``iter_chunks(prefetch=0)`` loop.
 """
 
 from . import ops
 from .chunked import ChunkedCompressor, stream_compress
 from .prefetch import ChunkPrefetcher, coalesce_spans, resolve_depth, warm_store_cache
-from .reductions import stream_dot, stream_l2_norm, stream_mean
 from .sharded import (
     ShardedStore,
     append_shard,
@@ -79,7 +78,4 @@ __all__ = [
     "ops",
     "refresh_partials",
     "stream_compress",
-    "stream_mean",
-    "stream_l2_norm",
-    "stream_dot",
 ]

@@ -1,13 +1,26 @@
-"""Pipelined chunk readahead: coalesced record fetches ahead of the consumer.
+"""The one chunk-span reader, run inline or ahead of the consumer on threads.
 
 Every sweep in the repo — fused plan passes, streaming structural ops, sharded
 incremental folds, coalesced serving batches — walks chunks in a strict
 ``pread → decode → fold`` loop, so the CPU idles during I/O and the disk idles
-during decode/fold.  :class:`ChunkPrefetcher` overlaps the two: a small thread
-pool fetches **payload spans** (adjacent chunk records coalesced into one
-``os.pread`` and split in memory) a bounded window ahead of the consumer,
-while the consumer thread decodes and yields chunks **in deterministic index
-order** — so every fold result stays bit-identical to the serial path.
+during decode/fold.  Reading goes in three steps, written once here:
+
+1. **plan** (:func:`_plan_spans`): split the requested chunks per underlying
+   store file (one per shard of a sharded store) and coalesce adjacent
+   records into **spans** — one ``os.pread`` each, split in memory;
+2. **fetch** (:func:`_fetch_span`): resolve a span's chunks from the attached
+   chunk cache, or read the misses through
+   :meth:`repro.streaming.CompressedStore.read_payload_span`;
+3. **consume** (:func:`_consume`): decode a fetched payload, cache it, and
+   count the logical read.
+
+Two drivers run those steps.  :func:`inline_chunks` runs them span by span on
+the caller's thread (``load_region`` uses it).  :class:`ChunkPrefetcher`
+fetches a bounded window of spans ahead on a small thread pool while the
+consumer thread decodes and yields chunks **in deterministic index order** —
+so every fold result stays bit-identical to the serial path.  The strictly
+serial ``read_chunk`` loop of ``iter_chunks(prefetch=0)`` stays beside them
+as the reference path.
 
 Division of labour, chosen by measurement rather than symmetry:
 
@@ -24,18 +37,18 @@ Division of labour, chosen by measurement rather than symmetry:
   into one positional read and one future.
 
 Fault tolerance matches the synchronous path exactly: span fetches run through
-:meth:`repro.streaming.CompressedStore.read_payload_span`, where the
-fault-injection hooks fire per chunk, version-3 CRCs are verified per chunk,
+:meth:`~repro.streaming.CompressedStore.read_payload_span`, whose record
+verifier fires the fault-injection hooks and checks version-3 CRCs per chunk,
 and any failure falls back to the per-chunk
 :meth:`~repro.streaming.CompressedStore.read_payload` seam with its full retry
 policy.  Exceptions surface at the failing chunk's position in the yielded
-order, exactly as a serial reader would see them.
+order, after every chunk ahead of it, exactly as a serial reader sees them.
 
-Accounting: payload fetches count into ``chunks_prefetched`` as the worker
-completes them; ``chunks_read`` still counts only chunks actually *consumed*
-(yielded or cache-served), so an aborted pipeline leaves
-``chunks_prefetched > chunks_read`` instead of silently inflating the read
-counters that pass-count tests assert on.
+Accounting: ``chunks_read`` counts only chunks actually *consumed* (yielded
+or cache-served), in both drivers.  The thread pool also counts its fetched
+payloads into ``chunks_prefetched`` as the worker completes them, so an
+aborted pipeline leaves ``chunks_prefetched > chunks_read`` instead of
+silently inflating the read counters that pass-count tests assert on.
 """
 
 from __future__ import annotations
@@ -48,6 +61,7 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "ChunkPrefetcher",
     "coalesce_spans",
+    "inline_chunks",
     "readahead_depth",
     "resolve_depth",
     "warm_store_cache",
@@ -165,20 +179,99 @@ def _segment_tasks(store, indices: Iterable[int]) -> Iterator[tuple[object, list
         yield store.shard(run_shard), run
 
 
+def _plan_spans(store, indices: Iterable[int]) -> Iterator[tuple[object, list[int]]]:
+    """Yield ``(underlying store, local indices)`` read spans, lazily.
+
+    Global chunk ``indices`` split per underlying store file
+    (:func:`_segment_tasks`), then into :func:`coalesce_spans` groups of
+    adjacent records — the fetch unit of both reading modes.
+    """
+    for real, locals_ in _segment_tasks(store, indices):
+        extents = [(local, *real._record_extent(local)[:2]) for local in locals_]
+        for span in coalesce_spans(extents):
+            yield real, [index for index, _, _ in span]
+
+
+def _fetch_span(real, locals_: list[int]) -> list[tuple[str, object]]:
+    """Resolve one span's chunks from cache or disk, in order.
+
+    Returns one ``("chunk", decoded)`` or ``("payload", bytes)`` item per
+    local index.  A read that fails ends the list with one ``("error",
+    exception)`` item at the failing chunk's position, after every record
+    verified ahead of it, so the consumer yields those chunks and then raises
+    exactly where the serial loop would.  The single cache lookup per chunk
+    here replaces (not duplicates) the lookup ``read_chunk`` would have done,
+    so cache hit/miss counters stay identical to the serial path.
+    """
+    cache = real.chunk_cache
+    path = str(real.path)
+    hits = {}
+    if cache is not None:
+        for local in locals_:
+            chunk = cache.get((path, local))
+            if chunk is not None:
+                hits[local] = chunk
+    payloads: dict[int, bytes] = {}
+    error: Exception | None = None
+    misses = [local for local in locals_ if local not in hits]
+    if misses:
+        try:
+            real.read_payload_span(misses, payloads)
+        except Exception as exc:  # re-raised by _consume at its chunk's position
+            error = exc
+    items: list[tuple[str, object]] = []
+    for local in locals_:
+        if local in hits:
+            items.append(("chunk", hits[local]))
+        elif local in payloads:
+            items.append(("payload", payloads[local]))
+        else:
+            items.append(("error", error))
+            break
+    return items
+
+
+def _fetch_ahead(real, locals_: list[int]) -> list[tuple[str, object]]:
+    """Worker body: :func:`_fetch_span`, counting its payloads as prefetched."""
+    items = _fetch_span(real, locals_)
+    real._note_prefetched(sum(kind == "payload" for kind, _ in items))
+    return items
+
+
+def _consume(real, local: int, item: tuple[str, object]):
+    """Consumer body: decode one fetched item and count the logical read."""
+    kind, value = item
+    if kind == "error":
+        raise value
+    if kind == "payload":
+        chunk = real._chunk_from_payload(local, value)
+        cache = real.chunk_cache
+        if cache is not None:
+            cache.put((str(real.path), local), chunk)
+    else:
+        chunk = value
+    real._note_read()
+    return chunk
+
+
+def inline_chunks(store, indices: Iterable[int]) -> Iterator:
+    """Yield ``indices``'s decoded chunks in order, reading span by span inline.
+
+    The pipeline of :class:`ChunkPrefetcher` run on the caller's thread, one
+    span at a time: the same span plan, fetch and consume, so values,
+    ``chunks_read``, cache counters and error positions match it; only
+    ``chunks_prefetched`` stays untouched, since nothing is read ahead.  At
+    most one span's payloads are resident, which bounds
+    :meth:`~repro.streaming.store.StoreReader.load_region`'s memory.
+    """
+    for real, locals_ in _plan_spans(store, indices):
+        for local, item in zip(locals_, _fetch_span(real, locals_)):
+            yield _consume(real, local, item)
+
+
 def _shutdown_pool(pool: ThreadPoolExecutor) -> None:
     """Finalizer body: stop the fetch pool, dropping any queued spans."""
     pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _absorb_exception(future: Future) -> None:
-    """Retrieve an abandoned future's exception so it is never logged as lost.
-
-    Consumed futures re-raise through ``result()`` regardless; this only
-    silences the interpreter's "exception was never retrieved" warning for
-    spans dropped by an aborted pipeline.
-    """
-    if not future.cancelled():
-        future.exception()
 
 
 class ChunkPrefetcher:
@@ -186,8 +279,9 @@ class ChunkPrefetcher:
 
     Iterating a prefetcher yields the same decoded chunk objects, in the same
     order, as ``store.read_chunk(i) for i in indices`` — but record fetches
-    run up to ``depth`` coalesced spans ahead on a small thread pool, so the
-    consumer's decode/fold work overlaps the I/O.
+    run up to ``depth`` coalesced spans ahead on a pool of
+    :data:`DEFAULT_PREFETCH_WORKERS` threads, so the consumer's decode/fold
+    work overlaps the I/O.
 
     Parameters
     ----------
@@ -199,10 +293,6 @@ class ChunkPrefetcher:
     depth:
         Maximum coalesced span fetches in flight (``None`` → auto, ~2× the
         worker count).  ``0`` degenerates to the serial read path.
-    workers:
-        Fetch threads (default :data:`DEFAULT_PREFETCH_WORKERS`).
-    span_bytes, span_chunks:
-        Coalescing budget per span (see :func:`coalesce_spans`).
 
     A prefetcher is **single-use**: iterate it once, then :meth:`close` it
     (closing is automatic when the iteration ends, is abandoned, or the
@@ -211,71 +301,13 @@ class ChunkPrefetcher:
     """
 
     def __init__(self, store, indices: Iterable[int] | None = None, *,
-                 depth: int | None = None,
-                 workers: int = DEFAULT_PREFETCH_WORKERS,
-                 span_bytes: int = DEFAULT_SPAN_BYTES,
-                 span_chunks: int = DEFAULT_SPAN_CHUNKS):
+                 depth: int | None = None):
         self.store = store
         self.indices = (list(range(store.n_chunks)) if indices is None
                         else [int(index) for index in indices])
-        self.workers = max(1, int(workers))
-        self.depth = resolve_depth(depth, workers=self.workers)
-        self.span_bytes = int(span_bytes)
-        self.span_chunks = int(span_chunks)
+        self.depth = resolve_depth(depth)
         self._pool: ThreadPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
-
-    # ------------------------------------------------------------------ pipeline
-    def _spans(self) -> Iterator[tuple[object, list[int]]]:
-        """Yield ``(underlying store, local indices)`` fetch units lazily."""
-        for real, locals_ in _segment_tasks(self.store, self.indices):
-            extents = [(local, *real._record_extent(local)[:2])
-                       for local in locals_]
-            for span in coalesce_spans(extents, max_bytes=self.span_bytes,
-                                       max_chunks=self.span_chunks):
-                yield real, [index for index, _, _ in span]
-
-    @staticmethod
-    def _fetch_span(real, locals_: list[int]) -> list[tuple[str, object]]:
-        """Worker body: resolve one span's chunks from cache or disk.
-
-        Returns one ``("chunk", decoded)`` or ``("payload", bytes)`` item per
-        local index.  The single cache lookup per chunk here replaces (not
-        duplicates) the lookup ``read_chunk`` would have done, so cache
-        hit/miss counters stay identical to the serial path.  Fetched payloads
-        count into ``chunks_prefetched`` as soon as the span completes.
-        """
-        cache = real.chunk_cache
-        path = str(real.path)
-        items: list[tuple[str, object] | None] = []
-        misses: list[int] = []
-        for local in locals_:
-            chunk = cache.get((path, local)) if cache is not None else None
-            if chunk is not None:
-                items.append(("chunk", chunk))
-            else:
-                items.append(None)
-                misses.append(local)
-        if misses:
-            payloads = real.read_payload_span(misses)
-            real._note_prefetched(len(misses))
-            for position, local in enumerate(locals_):
-                if items[position] is None:
-                    items[position] = ("payload", payloads[local])
-        return items
-
-    def _consume(self, real, local: int, item: tuple[str, object]):
-        """Consumer body: decode one fetched item and count the logical read."""
-        kind, value = item
-        if kind == "payload":
-            chunk = real._chunk_from_payload(local, value)
-            cache = real.chunk_cache
-            if cache is not None:
-                cache.put((str(real.path), local), chunk)
-        else:
-            chunk = value
-        real._note_read()
-        return chunk
 
     def __iter__(self) -> Iterator:
         """Yield decoded chunks in request order, fetching ahead in spans."""
@@ -285,10 +317,10 @@ class ChunkPrefetcher:
             return
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-prefetch"
+                max_workers=DEFAULT_PREFETCH_WORKERS, thread_name_prefix="repro-prefetch"
             )
             self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
-        spans = self._spans()
+        spans = _plan_spans(self.store, self.indices)
         window: deque[tuple[object, list[int], Future]] = deque()
 
         def submit_next() -> bool:
@@ -297,9 +329,7 @@ class ChunkPrefetcher:
                 real, locals_ = next(spans)
             except StopIteration:
                 return False
-            future = self._pool.submit(self._fetch_span, real, locals_)
-            future.add_done_callback(_absorb_exception)
-            window.append((real, locals_, future))
+            window.append((real, locals_, self._pool.submit(_fetch_ahead, real, locals_)))
             return True
 
         try:
@@ -309,9 +339,8 @@ class ChunkPrefetcher:
             while window:
                 real, locals_, future = window.popleft()
                 submit_next()  # keep the window full before blocking
-                items = future.result()
-                for local, item in zip(locals_, items):
-                    yield self._consume(real, local, item)
+                for local, item in zip(locals_, future.result()):
+                    yield _consume(real, local, item)
         finally:
             self.close()
 
@@ -328,8 +357,7 @@ class ChunkPrefetcher:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"ChunkPrefetcher(chunks={len(self.indices)}, "
-                f"depth={self.depth}, workers={self.workers})")
+        return f"ChunkPrefetcher(chunks={len(self.indices)}, depth={self.depth})"
 
 
 def warm_store_cache(store, indices: Iterable[int] | None = None) -> int:

@@ -52,20 +52,17 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from ..codecs.base import Codec
 from ..codecs.registry import get_codec
-from ..codecs.serialization import DECODE_ERRORS
-from ..core.compressed import CompressedArray, concatenate_rows
 from ..core.exceptions import CodecError
 from ..core.ops import folds
 from ..core.settings import CompressionSettings
 from ..reliability.retry import DEFAULT_READ_RETRY, RetryPolicy
 from .chunked import stream_compress
-from .store import CompressedStore
+from .store import CompressedStore, StoreReader
 
 __all__ = [
     "ShardedStore",
@@ -389,15 +386,18 @@ def refresh_partials(path) -> int:
 
 
 # ------------------------------------------------------------------ the store
-class ShardedStore:
+class ShardedStore(StoreReader):
     """Read-only view of a sharded store directory, shaped like one big store.
 
     The global chunk index concatenates every shard's chunks in shard order;
-    ``read_chunk``/``iter_chunks``/``load_region``/``load`` behave exactly as
-    on a single :class:`CompressedStore` over the assembled rows.  Shards open
-    lazily (and stay open, shared) the first time one of their chunks is
-    touched, so manifest-only operations — geometry, planning, partial-served
-    queries — never open a shard file beyond the settings probe.
+    ``read_chunk`` maps a global index to its shard, and the read surface
+    inherited from :class:`~repro.streaming.store.StoreReader`
+    (``iter_chunks``/``load_region``/``load``/``load_compressed``) behaves
+    exactly as on a single :class:`CompressedStore` over the assembled rows.
+    Shards open lazily (and stay open, shared) the first time one of their
+    chunks is touched, so manifest-only operations — geometry, planning,
+    partial-served queries — never open a shard file beyond the settings
+    probe.
 
     Parameters
     ----------
@@ -412,7 +412,7 @@ class ShardedStore:
 
     Attributes
     ----------
-    codec_name, shape, revision:
+    codec_name, shape, revision, chunk_rows:
         Straight from the manifest (no shard file is opened).
     chunks_read, chunks_prefetched, preads, read_retries:
         Sums over the shards opened so far (``chunks_read`` also counts
@@ -438,29 +438,25 @@ class ShardedStore:
             raise CodecError(f"sharded store {self.path} has no shards")
         self._codec: Codec | None = None
         self._chunk_cache = None
+        self._closed = False
         self._shards: dict[int, CompressedStore] = {}
         self._partials: dict[int, dict] = {}
         # credited reads of shards not yet open (see note_full_read)
         self._unopened_reads: dict[int, int] = {}
-        # global chunk index: (shard index, local chunk index, n_rows, row_start)
-        self._index: list[tuple[int, int, int, int]] = []
-        row_start = 0
-        for shard_index, entry in enumerate(self._entries):
-            for local, rows in enumerate(entry["chunk_rows"]):
-                self._index.append((shard_index, local, int(rows), row_start))
-                row_start += int(rows)
-        if row_start != self.shape[0]:
+        # global chunk index -> (shard index, local chunk index)
+        self._index = [(shard_index, local)
+                       for shard_index, entry in enumerate(self._entries)
+                       for local in range(len(entry["chunk_rows"]))]
+        #: Row count of every chunk, global (shard-concatenated) order.
+        self.chunk_rows = tuple(int(rows) for entry in self._entries
+                                for rows in entry["chunk_rows"])
+        if sum(self.chunk_rows) != self.shape[0]:
             raise CodecError(
                 f"corrupt sharded manifest: shard chunk rows sum to "
-                f"{row_start}, stored shape is {self.shape}"
+                f"{sum(self.chunk_rows)}, stored shape is {self.shape}"
             )
 
     # -------------------------------------------------------------- geometry
-    @property
-    def ndim(self) -> int:
-        """Dimensionality of the stored array."""
-        return len(self.shape)
-
     @property
     def n_shards(self) -> int:
         """Number of shard files the manifest describes."""
@@ -470,11 +466,6 @@ class ShardedStore:
     def n_chunks(self) -> int:
         """Total chunk records across every shard."""
         return len(self._index)
-
-    @property
-    def chunk_rows(self) -> tuple[int, ...]:
-        """Row count of every chunk, global (shard-concatenated) order."""
-        return tuple(rows for _, _, rows, _ in self._index)
 
     @property
     def chunks_read(self) -> int:
@@ -507,13 +498,6 @@ class ShardedStore:
         """Element dtype chunk decompression produces (delegated to shard 0)."""
         return self.shard(0).dtype
 
-    @property
-    def codec(self) -> Codec:
-        """A default instance of the store's codec (decoding needs no parameters)."""
-        if self._codec is None:
-            self._codec = get_codec(self.codec_name)
-        return self._codec
-
     def use_codec(self, codec: Codec) -> None:
         """Swap the decoding codec instance (same stream format) on every shard."""
         if codec.name != self.codec_name:
@@ -539,9 +523,16 @@ class ShardedStore:
 
     # -------------------------------------------------------------- shards
     def shard(self, index: int) -> CompressedStore:
-        """The open :class:`CompressedStore` for shard ``index`` (lazy, shared)."""
+        """The open :class:`CompressedStore` for shard ``index`` (lazy, shared).
+
+        After :meth:`close`, a shard not yet open raises ``ValueError`` (as a
+        read of a closed :class:`CompressedStore` does) instead of reopening
+        a file nothing would close.
+        """
         store = self._shards.get(index)
         if store is None:
+            if self._closed:
+                raise ValueError(f"I/O operation on closed sharded store {self.path}")
             store = CompressedStore(self.path / self._entries[index]["file"],
                                     retry_policy=self.retry_policy)
             if self._chunk_cache is not None:
@@ -558,27 +549,7 @@ class ShardedStore:
 
     def locate(self, index: int) -> tuple[int, int]:
         """Map a global chunk index to ``(shard index, local chunk index)``."""
-        shard_index, local, _, _ = self._index[index]
-        return shard_index, local
-
-    def _shard_runs(self, indices) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-        """Split global chunk ``indices`` into consecutive same-shard runs.
-
-        Yields ``(shard index, [(global index, local index), ...])`` in input
-        order; the coalesced readers work per shard file, so runs are the unit
-        both :meth:`load_region` and the prefetcher fetch by.
-        """
-        run_shard: int | None = None
-        run: list[tuple[int, int]] = []
-        for index in indices:
-            shard_index, local = self.locate(index)
-            if run and shard_index != run_shard:
-                yield run_shard, run
-                run = []
-            run_shard = shard_index
-            run.append((index, local))
-        if run:
-            yield run_shard, run
+        return self._index[index]
 
     # -------------------------------------------------------------- chunk access
     def note_full_read(self) -> None:
@@ -598,128 +569,8 @@ class ShardedStore:
 
     def read_chunk(self, index: int):
         """Decode global chunk ``index`` (lazily opening its shard)."""
-        shard_index, local, _, _ = self._index[index]
+        shard_index, local = self._index[index]
         return self.shard(shard_index).read_chunk(local)
-
-    def iter_chunks(self, *, prefetch: int | None = None) -> Iterator:
-        """Yield every chunk's compressed object in global row order.
-
-        ``prefetch`` selects the pipelined readahead exactly as on
-        :meth:`CompressedStore.iter_chunks`; the prefetcher crosses shard
-        boundaries seamlessly (spans never straddle two shard files, but the
-        window does, so the next shard's records are already in flight while
-        the previous shard's tail decodes).
-        """
-        from .prefetch import ChunkPrefetcher, readahead_depth
-
-        depth = readahead_depth(self, prefetch)
-        if depth == 0:
-            for index in range(self.n_chunks):
-                yield self.read_chunk(index)
-            return
-        fetcher = ChunkPrefetcher(self, depth=depth)
-        try:
-            yield from fetcher
-        finally:
-            fetcher.close()
-
-    def decompress_chunk(self, chunk) -> np.ndarray:
-        """Decompress one chunk object with the store's codec."""
-        try:
-            return self.codec.decompress(chunk)
-        except CodecError:
-            raise
-        except DECODE_ERRORS as exc:
-            raise CodecError(
-                f"corrupt chunk contents in {self.codec_name} store: {exc}"
-            ) from exc
-
-    def load_compressed(self) -> CompressedArray:
-        """Assemble the full pyblaz :class:`CompressedArray` across every shard."""
-        chunks = list(self.iter_chunks())
-        if not all(isinstance(chunk, CompressedArray) for chunk in chunks):
-            raise CodecError(
-                f"load_compressed assembles pyblaz chunks; this store holds "
-                f"{self.codec_name!r} streams — use load() or iter_chunks()"
-            )
-        return concatenate_rows(chunks)
-
-    def load(self) -> np.ndarray:
-        """Decompress the whole (shard-assembled) array, one chunk at a time."""
-        out: np.ndarray | None = None
-        for index, (_, _, n_rows, row_start) in enumerate(self._index):
-            decompressed = self.decompress_chunk(self.read_chunk(index))
-            if out is None:
-                out = np.empty(self.shape, dtype=decompressed.dtype)
-            out[row_start: row_start + n_rows] = decompressed
-        return out
-
-    def load_region(self, region) -> np.ndarray:
-        """Decompress only the chunks (and shards) intersecting ``region``.
-
-        Same contract as :meth:`CompressedStore.load_region`; shards whose
-        rows fall outside the axis-0 range are never opened.
-        """
-        if not isinstance(region, tuple):
-            region = (region,)
-        if len(region) > self.ndim:
-            raise ValueError(
-                f"region has {len(region)} dimensions, the store has {self.ndim}"
-            )
-        region = region + (slice(None),) * (self.ndim - len(region))
-
-        first = region[0]
-        squeeze_rows = isinstance(first, (int, np.integer))
-        if squeeze_rows:
-            index = int(first)
-            if index < 0:
-                index += self.shape[0]
-            if not 0 <= index < self.shape[0]:
-                raise IndexError(f"row {first} out of range for {self.shape[0]} rows")
-            start, stop, step = index, index + 1, 1
-        else:
-            start, stop, step = first.indices(self.shape[0])
-            if step <= 0:
-                raise ValueError("load_region requires a positive step along axis 0")
-
-        selected: list[int] = []
-        local_by_index: dict[int, slice] = {}
-        for chunk_index, (_, _, n_rows, row_start) in enumerate(self._index):
-            row_end = row_start + n_rows
-            if row_end <= start or row_start >= stop:
-                continue
-            global_first = max(start, row_start)
-            remainder = (global_first - start) % step
-            if remainder:
-                global_first += step - remainder
-            global_stop = min(stop, row_end)
-            if global_first >= global_stop:
-                continue
-            selected.append(chunk_index)
-            local_by_index[chunk_index] = slice(
-                global_first - row_start, global_stop - row_start, step
-            )
-
-        parts = []
-        for run_shard, run in self._shard_runs(selected):
-            # each shard's intersecting records go through its coalescing
-            # reader — one positional read per adjacent span, not per chunk
-            shard = self.shard(run_shard)
-            for (_, chunk), chunk_index in zip(
-                shard._iter_chunks_coalesced([local for _, local in run]),
-                (global_index for global_index, _ in run),
-            ):
-                decompressed = self.decompress_chunk(chunk)
-                parts.append(
-                    decompressed[(local_by_index[chunk_index],) + region[1:]]
-                )
-
-        if parts:
-            assembled = np.concatenate(parts, axis=0)
-        else:
-            empty_rows = (0,) + self.shape[1:]
-            assembled = np.empty(empty_rows, dtype=self.dtype)[(slice(None),) + region[1:]]
-        return assembled[0] if squeeze_rows else assembled
 
     # -------------------------------------------------------------- partials
     def partials_fresh(self) -> bool:
@@ -792,16 +643,13 @@ class ShardedStore:
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Close every shard opened so far (reads fail afterwards)."""
+        """Close every shard opened so far (reads fail afterwards).
+
+        The closed shards stay attached, so the counters keep their values.
+        """
+        self._closed = True
         for shard in self._shards.values():
             shard.close()
-        self._shards.clear()
-
-    def __enter__(self) -> "ShardedStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -51,6 +51,7 @@ import os
 import struct
 import threading
 import zlib
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterator
 
@@ -71,8 +72,10 @@ from ..core.exceptions import CodecError, IntegrityError
 from ..core.settings import CompressionSettings
 from ..reliability import faults
 from ..reliability.retry import DEFAULT_READ_RETRY, RetryPolicy, retry_call
+from .prefetch import ChunkPrefetcher, coalesce_spans, inline_chunks, readahead_depth
 
-__all__ = ["CompressedStore", "CompressedStoreWriter", "load_region", "STORE_MAGIC"]
+__all__ = ["StoreReader", "CompressedStore", "CompressedStoreWriter", "load_region",
+           "STORE_MAGIC"]
 
 STORE_MAGIC = b"PBLZC"
 _END_MAGIC = b"PBLZE"
@@ -255,7 +258,174 @@ class CompressedStoreWriter:
             self._handle.close()
 
 
-class CompressedStore:
+class StoreReader:
+    """The read surface both store kinds share: iteration, loads, region reads.
+
+    :class:`CompressedStore` (one file) and
+    :class:`~repro.streaming.ShardedStore` (a directory of them) supply the
+    geometry — ``shape``, ``chunk_rows``, ``n_chunks``, ``dtype`` — plus
+    ``codec_name``, ``read_chunk``, ``use_codec`` and ``close``; everything
+    here is written once against that and reads chunks through
+    :mod:`repro.streaming.prefetch`'s span reader.
+    """
+
+    codec_name: str
+    shape: tuple[int, ...]
+    _codec: Codec | None = None
+
+    @property
+    def ndim(self) -> int:
+        """Dimensionality of the stored array."""
+        return len(self.shape)
+
+    @property
+    def codec(self) -> Codec:
+        """A default instance of the store's codec (decoding needs no parameters)."""
+        if self._codec is None:
+            self._codec = get_codec(self.codec_name)
+        return self._codec
+
+    def iter_chunks(self, *, prefetch: int | None = None) -> Iterator:
+        """Yield every chunk's compressed object in row order.
+
+        ``prefetch`` selects the pipelined readahead
+        (:class:`repro.streaming.ChunkPrefetcher`): ``None`` (the default)
+        enables it with an auto depth, a positive integer sets the in-flight
+        span window, and ``0`` restores the strictly serial
+        ``read_chunk`` loop.  Chunk order, values, counters and error
+        positions are identical either way — prefetching only overlaps record
+        fetches with decoding.  On a sharded store the window crosses shard
+        boundaries (spans never straddle two shard files, but the next shard's
+        records are already in flight while the previous shard's tail decodes).
+        """
+        depth = readahead_depth(self, prefetch)
+        if depth == 0:
+            for index in range(self.n_chunks):
+                yield self.read_chunk(index)
+            return
+        fetcher = ChunkPrefetcher(self, depth=depth)
+        try:
+            yield from fetcher
+        finally:
+            fetcher.close()
+
+    def decompress_chunk(self, chunk) -> np.ndarray:
+        """Decompress one chunk object with the store's codec.
+
+        The codec instance can be reconfigured with ``use_codec`` (e.g. a
+        pyblaz codec with a non-default kernel backend).  Decompression
+        failures on corrupt chunk contents are reported as :class:`CodecError`
+        like decoding failures.
+        """
+        try:
+            return self.codec.decompress(chunk)
+        except CodecError:
+            raise
+        except DECODE_ERRORS as exc:
+            raise CodecError(
+                f"corrupt chunk contents in {self.codec_name} store: {exc}"
+            ) from exc
+
+    def load_compressed(self) -> CompressedArray:
+        """Assemble the full :class:`CompressedArray` (bit-identical to one-shot).
+
+        Only meaningful for pyblaz stores, whose per-slab ``maxima``/``indices``
+        concatenate exactly; other codecs' chunks are independent streams.
+        """
+        chunks = list(self.iter_chunks())
+        if not all(isinstance(chunk, CompressedArray) for chunk in chunks):
+            raise CodecError(
+                f"load_compressed assembles pyblaz chunks; this store holds "
+                f"{self.codec_name!r} streams — use load() or iter_chunks()"
+            )
+        return concatenate_rows(chunks)
+
+    def load(self) -> np.ndarray:
+        """Decompress the whole array, one chunk at a time."""
+        out: np.ndarray | None = None
+        row_start = 0
+        for n_rows, chunk in zip(self.chunk_rows, self.iter_chunks()):
+            decompressed = self.decompress_chunk(chunk)
+            if out is None:
+                out = np.empty(self.shape, dtype=decompressed.dtype)
+            out[row_start : row_start + n_rows] = decompressed
+            row_start += n_rows
+        return out
+
+    def load_region(self, region) -> np.ndarray:
+        """Decompress only the chunks intersecting ``region``.
+
+        ``region`` is an index expression like ``np.ndarray`` accepts for basic
+        indexing — a slice/int or a tuple of them, at most one per dimension
+        (missing trailing dimensions default to ``slice(None)``).  Steps along
+        axis 0 must be positive.  Only the chunk records whose rows intersect the
+        axis-0 range are read and decoded (on a sharded store, only their
+        shards are opened); memory use is bounded by one read span, not the
+        array size.  Adjacent intersecting records are read through the inline
+        span reader (:func:`repro.streaming.prefetch.inline_chunks`) — one
+        positional read per span instead of one per chunk (observable via
+        ``preads``), with byte-identical results.
+        """
+        if not isinstance(region, tuple):
+            region = (region,)
+        if len(region) > self.ndim:
+            raise ValueError(
+                f"region has {len(region)} dimensions, the store has {self.ndim}"
+            )
+        region = region + (slice(None),) * (self.ndim - len(region))
+
+        first = region[0]
+        squeeze_rows = isinstance(first, (int, np.integer))
+        if squeeze_rows:
+            index = int(first)
+            if index < 0:
+                index += self.shape[0]
+            if not 0 <= index < self.shape[0]:
+                raise IndexError(f"row {first} out of range for {self.shape[0]} rows")
+            start, stop, step = index, index + 1, 1
+        else:
+            start, stop, step = first.indices(self.shape[0])
+            if step <= 0:
+                raise ValueError("load_region requires a positive step along axis 0")
+
+        selected: list[int] = []
+        local_rows: list[slice] = []
+        row_starts = accumulate(self.chunk_rows, initial=0)
+        for chunk_index, (row_start, n_rows) in enumerate(zip(row_starts, self.chunk_rows)):
+            row_end = row_start + n_rows
+            if row_end <= start or row_start >= stop:
+                continue
+            # first requested row that lands inside this chunk and on the step grid
+            global_first = max(start, row_start)
+            remainder = (global_first - start) % step
+            if remainder:
+                global_first += step - remainder
+            global_stop = min(stop, row_end)
+            if global_first >= global_stop:
+                continue
+            selected.append(chunk_index)
+            local_rows.append(slice(global_first - row_start, global_stop - row_start, step))
+
+        parts = []
+        for chunk, rows in zip(inline_chunks(self, selected), local_rows):
+            decompressed = self.decompress_chunk(chunk)
+            parts.append(decompressed[(rows,) + region[1:]])
+
+        if parts:
+            assembled = np.concatenate(parts, axis=0)
+        else:
+            empty_rows = (0,) + self.shape[1:]
+            assembled = np.empty(empty_rows, dtype=self.dtype)[(slice(None),) + region[1:]]
+        return assembled[0] if squeeze_rows else assembled
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+class CompressedStore(StoreReader):
     """Read-only view of a chunked store file (format versions 1, 2 and 3).
 
     Chunks are read lazily: opening the store parses only the header and the
@@ -427,11 +597,6 @@ class CompressedStore:
 
     # ------------------------------------------------------------------ geometry
     @property
-    def ndim(self) -> int:
-        """Dimensionality of the stored array."""
-        return len(self.shape)
-
-    @property
     def n_chunks(self) -> int:
         """Number of chunk records in the store."""
         return len(self._chunks)
@@ -474,13 +639,6 @@ class CompressedStore:
                 self._dtype = (np.dtype(declared) if declared is not None
                                else np.dtype(np.float64))
         return self._dtype
-
-    @property
-    def codec(self) -> Codec:
-        """A default instance of the store's codec (decoding needs no parameters)."""
-        if self._codec is None:
-            self._codec = get_codec(self.codec_name)
-        return self._codec
 
     def use_codec(self, codec: Codec) -> None:
         """Replace the codec instance used to decompress chunks.
@@ -567,84 +725,80 @@ class CompressedStore:
             )
         return offset, n_bytes, crc
 
-    def read_payload(self, index: int) -> bytes:
-        """Read (and for v3, verify) chunk ``index``'s raw record bytes.
+    def _read_verified(self, span, payloads: dict[int, bytes]) -> None:
+        """One read attempt of ``span``, adjacent ``(index, offset, n_bytes)`` records.
 
-        This is the one seam every chunk read goes through: fault-injection
-        hooks fire here, version-3 checksums are verified here, and transient
-        failures — an ``OSError``, or a checksum mismatch a re-read could
-        clear — are retried per :attr:`retry_policy`.  The verify/repair CLI
-        also uses it to copy good records verbatim.
+        The record verifier under both :meth:`read_payload` and
+        :meth:`read_payload_span`: fault-injection hooks fire per chunk, one
+        positional read covers the span and is split in memory, and every
+        record passes the corrupt hook and (v3) its CRC check before it lands
+        in ``payloads`` — so when a record fails, ``payloads`` holds every
+        record ahead of it.  Retrying is the callers' business.
         """
-        offset, n_bytes, crc = self._record_extent(index)
         path = str(self.path)
-
-        def attempt() -> bytes:
-            plan = faults.active_plan()
-            if plan is not None:
+        plan = faults.active_plan()
+        if plan is not None:
+            for index, _, _ in span:
                 plan.before_chunk_read(path, index)
-            data = self._read_record(offset, n_bytes)
+        span_offset = span[0][1]
+        data = self._read_record(span_offset, sum(n_bytes for _, _, n_bytes in span))
+        for index, offset, n_bytes in span:
+            piece = data[offset - span_offset: offset - span_offset + n_bytes]
             if plan is not None:
-                data = plan.corrupt_record(path, index, data)
-            if crc is not None and (len(data) != n_bytes or zlib.crc32(data) != crc):
+                piece = plan.corrupt_record(path, index, piece)
+            crc = self._chunks[index][4]
+            if crc is not None and (len(piece) != n_bytes or zlib.crc32(piece) != crc):
                 raise IntegrityError(
                     f"chunk {index} of store {path} failed its checksum "
-                    f"({len(data)} of {n_bytes} bytes read)",
+                    f"({len(piece)} of {n_bytes} bytes read)",
                     path=path,
                     chunk_index=index,
                 )
-            return data
+            payloads[index] = piece
+
+    def read_payload(self, index: int) -> bytes:
+        """Read (and for v3, verify) chunk ``index``'s raw record bytes.
+
+        The per-chunk read seam: one verified read (:meth:`_read_verified`),
+        with transient failures — an ``OSError``, or a checksum mismatch a
+        re-read could clear — retried per :attr:`retry_policy`.  The
+        verify/repair CLI also uses it to copy good records verbatim.
+        """
+        span = [(index, *self._record_extent(index)[:2])]
+
+        def attempt() -> bytes:
+            payloads: dict[int, bytes] = {}
+            self._read_verified(span, payloads)
+            return payloads[index]
 
         if self.retry_policy is None:
             return attempt()
-        retry_on = (OSError,) if crc is None else (OSError, IntegrityError)
+        retry_on = (OSError,) if self._chunks[index][4] is None else (OSError, IntegrityError)
         return retry_call(
             attempt, policy=self.retry_policy, retry_on=retry_on,
             on_retry=self._note_retry,
         )
 
-    def read_payload_span(self, indices) -> dict[int, bytes]:
+    def read_payload_span(self, indices, payloads: dict[int, bytes] | None = None
+                          ) -> dict[int, bytes]:
         """Read several chunks' record bytes, coalescing adjacent ones.
 
         Adjacent records (within the coalescing budget) merge into **one**
         positional read and are split in memory — the syscall-count win behind
-        the prefetch pipeline and the coalesced :meth:`load_region`.  The
-        semantics per chunk are exactly :meth:`read_payload`'s: fault hooks
-        fire per chunk index, version-3 CRCs verify per chunk, and any failure
-        inside a span falls back to the per-chunk seam with its full retry
-        policy (counting one retry for the failed span attempt).  Returns
-        ``{index: payload bytes}`` for every requested index.
+        the span reader of :mod:`repro.streaming.prefetch`.  The semantics per
+        chunk are exactly :meth:`read_payload`'s: both go through
+        :meth:`_read_verified`, and any failure inside a span falls back to the
+        per-chunk seam with its full retry policy (counting one retry for the
+        failed span attempt).  Returns ``{index: payload bytes}`` for every
+        requested index.  Records land in ``payloads`` (a new dict unless one
+        is passed) in request order as they verify, so a caller that catches
+        the error still holds every record ahead of the failing one.
         """
-        from .prefetch import coalesce_spans
-
+        payloads = {} if payloads is None else payloads
         extents = [(index, *self._record_extent(index)[:2]) for index in indices]
-        crcs = {index: self._record_extent(index)[2] for index in indices}
-        path = str(self.path)
-        payloads: dict[int, bytes] = {}
         for span in coalesce_spans(extents):
-            span_offset = span[0][1]
-            span_bytes = sum(n_bytes for _, _, n_bytes in span)
             try:
-                plan = faults.active_plan()
-                if plan is not None:
-                    for index, _, _ in span:
-                        plan.before_chunk_read(path, index)
-                data = self._read_record(span_offset, span_bytes)
-                for index, offset, n_bytes in span:
-                    piece = data[offset - span_offset: offset - span_offset + n_bytes]
-                    if plan is not None:
-                        piece = plan.corrupt_record(path, index, piece)
-                    crc = crcs[index]
-                    if crc is not None and (
-                        len(piece) != n_bytes or zlib.crc32(piece) != crc
-                    ):
-                        raise IntegrityError(
-                            f"chunk {index} of store {path} failed its checksum "
-                            f"({len(piece)} of {n_bytes} bytes read)",
-                            path=path,
-                            chunk_index=index,
-                        )
-                    payloads[index] = piece
+                self._read_verified(span, payloads)
             except (OSError, IntegrityError) as exc:
                 if self.retry_policy is None:
                     raise
@@ -725,192 +879,10 @@ class CompressedStore:
             self.chunks_read += 1
         return chunk
 
-    def iter_chunks(self, *, prefetch: int | None = None) -> Iterator:
-        """Yield every chunk's compressed object in row order.
-
-        ``prefetch`` selects the pipelined readahead
-        (:class:`repro.streaming.ChunkPrefetcher`): ``None`` (the default)
-        enables it with an auto depth, a positive integer sets the in-flight
-        span window, and ``0`` restores the strictly serial read→decode loop.
-        Chunk order, values, counters and error positions are identical either
-        way — prefetching only overlaps record fetches with decoding.
-        """
-        from .prefetch import ChunkPrefetcher, readahead_depth
-
-        depth = readahead_depth(self, prefetch)
-        if depth == 0:
-            for index in range(self.n_chunks):
-                yield self.read_chunk(index)
-            return
-        fetcher = ChunkPrefetcher(self, depth=depth)
-        try:
-            yield from fetcher
-        finally:
-            fetcher.close()
-
-    def _iter_chunks_coalesced(self, indices) -> Iterator:
-        """Serially decode ``indices``'s chunks via coalesced span reads.
-
-        The no-thread sibling of the prefetcher used by :meth:`load_region`:
-        adjacent records merge into single positional reads (fewer syscalls —
-        see :attr:`preads`), cache consults and ``chunks_read`` accounting
-        match :meth:`read_chunk` exactly, and chunks yield as
-        ``(index, chunk)`` in request order.
-        """
-        from .prefetch import DEFAULT_SPAN_CHUNKS
-
-        cache = self.chunk_cache
-        path = str(self.path)
-        pending: list[int] = []
-        for index in indices:
-            if cache is not None:
-                chunk = cache.get((path, index))
-                if chunk is not None:
-                    yield from self._drain_span(pending)
-                    pending = []
-                    self._note_read()
-                    yield index, chunk
-                    continue
-            pending.append(index)
-            if len(pending) >= DEFAULT_SPAN_CHUNKS:
-                # drain per span so at most one span's payloads are resident,
-                # preserving load_region's chunk-bounded memory contract
-                yield from self._drain_span(pending)
-                pending = []
-        yield from self._drain_span(pending)
-
-    def _drain_span(self, pending: list) -> Iterator:
-        """Span-read, decode, cache and count the queued-up miss indices."""
-        if not pending:
-            return
-        payloads = self.read_payload_span(pending)
-        cache = self.chunk_cache
-        path = str(self.path)
-        for index in pending:
-            chunk = self._chunk_from_payload(index, payloads[index])
-            if cache is not None:
-                cache.put((path, index), chunk)
-            self._note_read()
-            yield index, chunk
-
-    def decompress_chunk(self, chunk) -> np.ndarray:
-        """Decompress one chunk object with the store's codec.
-
-        The codec instance can be reconfigured with :meth:`use_codec` (e.g. a
-        pyblaz codec with a non-default kernel backend).  Decompression
-        failures on corrupt chunk contents are reported as :class:`CodecError`
-        like decoding failures.
-        """
-        try:
-            return self.codec.decompress(chunk)
-        except CodecError:
-            raise
-        except DECODE_ERRORS as exc:
-            raise CodecError(
-                f"corrupt chunk contents in {self.codec_name} store: {exc}"
-            ) from exc
-
-    def load_compressed(self) -> CompressedArray:
-        """Assemble the full :class:`CompressedArray` (bit-identical to one-shot).
-
-        Only meaningful for pyblaz stores, whose per-slab ``maxima``/``indices``
-        concatenate exactly; other codecs' chunks are independent streams.
-        """
-        chunks = list(self.iter_chunks())
-        if not all(isinstance(chunk, CompressedArray) for chunk in chunks):
-            raise CodecError(
-                f"load_compressed assembles pyblaz chunks; this store holds "
-                f"{self.codec_name!r} streams — use load() or iter_chunks()"
-            )
-        return concatenate_rows(chunks)
-
-    # ------------------------------------------------------------------ decompression
-    def load(self) -> np.ndarray:
-        """Decompress the whole array, one chunk at a time."""
-        out: np.ndarray | None = None
-        for (_, _, n_rows, row_start, _), chunk in zip(self._chunks, self.iter_chunks()):
-            decompressed = self.decompress_chunk(chunk)
-            if out is None:
-                out = np.empty(self.shape, dtype=decompressed.dtype)
-            out[row_start : row_start + n_rows] = decompressed
-        return out
-
-    def load_region(self, region) -> np.ndarray:
-        """Decompress only the chunks intersecting ``region``.
-
-        ``region`` is an index expression like ``np.ndarray`` accepts for basic
-        indexing — a slice/int or a tuple of them, at most one per dimension
-        (missing trailing dimensions default to ``slice(None)``).  Steps along
-        axis 0 must be positive.  Only the chunk records whose rows intersect the
-        axis-0 range are read and decoded; memory use is bounded by the chunk
-        size, not the array size.  Adjacent intersecting records are read
-        through the coalescing reader — one positional read per span instead
-        of one per chunk (observable via :attr:`preads`), with byte-identical
-        results.
-        """
-        if not isinstance(region, tuple):
-            region = (region,)
-        if len(region) > self.ndim:
-            raise ValueError(
-                f"region has {len(region)} dimensions, the store has {self.ndim}"
-            )
-        region = region + (slice(None),) * (self.ndim - len(region))
-
-        first = region[0]
-        squeeze_rows = isinstance(first, (int, np.integer))
-        if squeeze_rows:
-            index = int(first)
-            if index < 0:
-                index += self.shape[0]
-            if not 0 <= index < self.shape[0]:
-                raise IndexError(f"row {first} out of range for {self.shape[0]} rows")
-            start, stop, step = index, index + 1, 1
-        else:
-            start, stop, step = first.indices(self.shape[0])
-            if step <= 0:
-                raise ValueError("load_region requires a positive step along axis 0")
-
-        selected: list[int] = []
-        local_by_index: dict[int, slice] = {}
-        for chunk_index, (_, _, n_rows, row_start, _) in enumerate(self._chunks):
-            row_end = row_start + n_rows
-            if row_end <= start or row_start >= stop:
-                continue
-            # first requested row that lands inside this chunk and on the step grid
-            global_first = max(start, row_start)
-            remainder = (global_first - start) % step
-            if remainder:
-                global_first += step - remainder
-            global_stop = min(stop, row_end)
-            if global_first >= global_stop:
-                continue
-            selected.append(chunk_index)
-            local_by_index[chunk_index] = slice(
-                global_first - row_start, global_stop - row_start, step
-            )
-
-        parts = []
-        for chunk_index, chunk in self._iter_chunks_coalesced(selected):
-            decompressed = self.decompress_chunk(chunk)
-            parts.append(decompressed[(local_by_index[chunk_index],) + region[1:]])
-
-        if parts:
-            assembled = np.concatenate(parts, axis=0)
-        else:
-            empty_rows = (0,) + self.shape[1:]
-            assembled = np.empty(empty_rows, dtype=self.dtype)[(slice(None),) + region[1:]]
-        return assembled[0] if squeeze_rows else assembled
-
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:
         """Close the underlying file handle (reads fail afterwards)."""
         self._handle.close()
-
-    def __enter__(self) -> "CompressedStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         described = self.settings.describe() if self.settings is not None else "-"
