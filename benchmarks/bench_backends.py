@@ -18,17 +18,15 @@ GPU argument centres on; the acceptance bar (enforced by ``--check``) is the
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.core import CompressionSettings, Compressor
 from repro.kernels import available_backends, backend_is_available, get_backend_class
+
+import report
 
 #: (label, shape, block, transform, float_format, index_dtype, quick)
 WORKLOADS = [
@@ -134,21 +132,27 @@ def format_table(results: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def check(results: list[dict]) -> int:
+    """The ``--check`` bar: gemm ≥ HEADLINE_MIN_SPEEDUP× reference on HEADLINE."""
+    headline = [r for r in results if r["workload"] == HEADLINE and r["backend"] == "gemm"]
+    if not headline:
+        return report.failed(f"headline workload {HEADLINE!r} was not run "
+                             "(did you pass --quick?)")
+    speedup = headline[0]["compress_speedup_vs_reference"]
+    if speedup < HEADLINE_MIN_SPEEDUP:
+        return report.failed(f"gemm speedup {speedup:.2f}x < {HEADLINE_MIN_SPEEDUP}x")
+    return report.passed(f"gemm speedup {speedup:.2f}x ≥ {HEADLINE_MIN_SPEEDUP}x")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default=None,
-                        help="JSON output path (default: BENCH_backends.json at the repo root)")
-    parser.add_argument("--quick", action="store_true",
-                        help="small shapes only (for CI smoke; skips the headline workload)")
+    parser = report.parser(
+        "backends", __doc__,
+        quick="small shapes only (for CI smoke; skips the headline workload)",
+        check=f"fail unless gemm compresses the headline workload "
+              f"≥{HEADLINE_MIN_SPEEDUP}x faster than reference")
     parser.add_argument("--repeats", type=int, default=3,
                         help="repeats per timing; the best is recorded (default 3)")
-    parser.add_argument("--check", action="store_true",
-                        help=f"fail unless gemm compresses the headline workload "
-                             f"≥{HEADLINE_MIN_SPEEDUP}x faster than reference")
     args = parser.parse_args(argv)
-
-    repo_root = Path(__file__).resolve().parent.parent
-    output = Path(args.output) if args.output else repo_root / "BENCH_backends.json"
 
     results: list[dict] = []
     for label, shape, block, transform, float_format, index_dtype, quick in WORKLOADS:
@@ -160,39 +164,12 @@ def main(argv: list[str] | None = None) -> int:
                            args.repeats)
         )
 
-    payload = {
-        "harness": "benchmarks/bench_backends.py",
-        "units": {"throughput": "MB/s of input at its native dtype",
-                  "seconds": "best of --repeats wall-clock"},
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "results": results,
-    }
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    table = format_table(results)
-    print()
-    print(table)
-    print(f"\nwrote {output}")
-    results_dir = repo_root / "benchmarks" / "results"
-    if results_dir.is_dir():
-        (results_dir / "bench_backends.txt").write_text(table + "\n")
-
-    if args.check:
-        headline = [r for r in results if r["workload"] == HEADLINE and r["backend"] == "gemm"]
-        if not headline:
-            print(f"check failed: headline workload {HEADLINE!r} was not run "
-                  "(did you pass --quick?)", file=sys.stderr)
-            return 1
-        speedup = headline[0]["compress_speedup_vs_reference"]
-        if speedup < HEADLINE_MIN_SPEEDUP:
-            print(f"check failed: gemm speedup {speedup:.2f}x < {HEADLINE_MIN_SPEEDUP}x",
-                  file=sys.stderr)
-            return 1
-        print(f"check passed: gemm speedup {speedup:.2f}x ≥ {HEADLINE_MIN_SPEEDUP}x")
-    return 0
+    report.publish(
+        "backends", args.output,
+        units={"throughput": "MB/s of input at its native dtype",
+               "seconds": "best of --repeats wall-clock"},
+        results=results, table=format_table(results))
+    return check(results) if args.check else 0
 
 
 if __name__ == "__main__":

@@ -32,9 +32,6 @@ wall-clock ≤ 0.7× the interpreted fused wall-clock on the 256³ workload.
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import sys
 import tempfile
 import time
@@ -48,6 +45,8 @@ from repro.engine import expr
 from repro.kernels import backend_is_available
 from repro.streaming import ChunkedCompressor
 from repro.streaming import ops as stream_ops
+
+import report
 
 #: (label, shape, slab_rows, quick)
 WORKLOADS = [
@@ -248,23 +247,47 @@ def format_table(results: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def check(results: list[dict]) -> int:
+    """The ``--check`` bars: fused ≤ MAX_FUSED_RATIO× sequential on HEADLINE,
+    then best compiled ≤ MAX_COMPILED_RATIO× fused on COMPILED_HEADLINE."""
+    headline = [r for r in results if r["workload"] == HEADLINE]
+    if not headline:
+        return report.failed(f"headline workload {HEADLINE!r} was not run "
+                             "(did you pass --quick?)")
+    ratio = headline[0]["fused_over_sequential"]
+    if ratio > MAX_FUSED_RATIO:
+        return report.failed(f"fused/sequential {ratio:.2f} > {MAX_FUSED_RATIO}")
+    report.passed(f"fused/sequential {ratio:.2f} ≤ {MAX_FUSED_RATIO}")
+
+    compiled_headline = [r for r in results
+                         if r["workload"] == COMPILED_HEADLINE]
+    if not compiled_headline:
+        return report.failed(f"compiled headline workload "
+                             f"{COMPILED_HEADLINE!r} was not run (did you pass --quick?)")
+    available = [row for row in compiled_headline[0]["compiled"]
+                 if row.get("available")]
+    if not available:
+        return report.failed("no compiled fused-pass backend was available")
+    best = min(available, key=lambda row: row["compiled_over_fused"])
+    if best["compiled_over_fused"] > MAX_COMPILED_RATIO:
+        return report.failed(f"compiled/fused "
+                             f"{best['compiled_over_fused']:.2f} ({best['backend']}) > "
+                             f"{MAX_COMPILED_RATIO}")
+    return report.passed(f"compiled/fused {best['compiled_over_fused']:.2f} "
+                         f"({best['backend']}) ≤ {MAX_COMPILED_RATIO}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default=None,
-                        help="JSON output path (default: BENCH_engine.json at the repo root)")
-    parser.add_argument("--quick", action="store_true",
-                        help="small stores only (for CI smoke; skips the headline workload)")
+    parser = report.parser(
+        "engine", __doc__,
+        quick="small stores only (for CI smoke; skips the headline workload)",
+        check=f"fail unless fused wall-clock ≤ {MAX_FUSED_RATIO}x "
+              f"sequential on the 6-op headline workload AND the "
+              f"best warm compiled wall-clock ≤ {MAX_COMPILED_RATIO}x "
+              f"interpreted fused on {COMPILED_HEADLINE!r}")
     parser.add_argument("--repeats", type=int, default=3,
                         help="repeats per timing; the best is recorded (default 3)")
-    parser.add_argument("--check", action="store_true",
-                        help=f"fail unless fused wall-clock ≤ {MAX_FUSED_RATIO}x "
-                             f"sequential on the 6-op headline workload AND the "
-                             f"best warm compiled wall-clock ≤ {MAX_COMPILED_RATIO}x "
-                             f"interpreted fused on {COMPILED_HEADLINE!r}")
     args = parser.parse_args(argv)
-
-    repo_root = Path(__file__).resolve().parent.parent
-    output = Path(args.output) if args.output else repo_root / "BENCH_engine.json"
 
     results: list[dict] = []
     for label, shape, slab_rows, quick in WORKLOADS:
@@ -273,61 +296,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"benchmarking {label} ...", flush=True)
         results.append(bench_workload(label, shape, slab_rows, args.repeats))
 
-    payload = {
-        "harness": "benchmarks/bench_engine.py",
-        "units": {"seconds": "best of --repeats wall-clock",
-                  "decode_passes": "store sweeps per (store_a, store_b)"},
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "results": results,
-    }
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    table = format_table(results)
-    print()
-    print(table)
-    print(f"\nwrote {output}")
-    results_dir = repo_root / "benchmarks" / "results"
-    if results_dir.is_dir():
-        (results_dir / "bench_engine.txt").write_text(table + "\n")
-
-    if args.check:
-        headline = [r for r in results if r["workload"] == HEADLINE]
-        if not headline:
-            print(f"check failed: headline workload {HEADLINE!r} was not run "
-                  "(did you pass --quick?)", file=sys.stderr)
-            return 1
-        ratio = headline[0]["fused_over_sequential"]
-        if ratio > MAX_FUSED_RATIO:
-            print(f"check failed: fused/sequential {ratio:.2f} > {MAX_FUSED_RATIO}",
-                  file=sys.stderr)
-            return 1
-        print(f"check passed: fused/sequential {ratio:.2f} ≤ {MAX_FUSED_RATIO}")
-
-        compiled_headline = [r for r in results
-                             if r["workload"] == COMPILED_HEADLINE]
-        if not compiled_headline:
-            print(f"check failed: compiled headline workload "
-                  f"{COMPILED_HEADLINE!r} was not run (did you pass --quick?)",
-                  file=sys.stderr)
-            return 1
-        available = [row for row in compiled_headline[0]["compiled"]
-                     if row.get("available")]
-        if not available:
-            print("check failed: no compiled fused-pass backend was available",
-                  file=sys.stderr)
-            return 1
-        best = min(available, key=lambda row: row["compiled_over_fused"])
-        if best["compiled_over_fused"] > MAX_COMPILED_RATIO:
-            print(f"check failed: compiled/fused "
-                  f"{best['compiled_over_fused']:.2f} ({best['backend']}) > "
-                  f"{MAX_COMPILED_RATIO}", file=sys.stderr)
-            return 1
-        print(f"check passed: compiled/fused {best['compiled_over_fused']:.2f} "
-              f"({best['backend']}) ≤ {MAX_COMPILED_RATIO}")
-    return 0
+    report.publish(
+        "engine", args.output,
+        units={"seconds": "best of --repeats wall-clock",
+               "decode_passes": "store sweeps per (store_a, store_b)"},
+        results=results, table=format_table(results))
+    return check(results) if args.check else 0
 
 
 if __name__ == "__main__":

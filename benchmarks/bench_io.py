@@ -38,9 +38,6 @@ time on the cold-cache 64-chunk workload under the serial executor.
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import sys
 import tempfile
 import time
@@ -54,6 +51,8 @@ from repro.engine import expr
 from repro.reliability import faults
 from repro.reliability.faults import FaultPlan, FaultRule
 from repro.streaming import ChunkedCompressor, CompressedStore
+
+import report
 
 #: Chunk counts swept (rows = chunks * SLAB_ROWS); --quick keeps the first.
 CHUNK_COUNTS = [64, 256]
@@ -183,24 +182,34 @@ def format_table(results: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def check(results: list[dict]) -> int:
+    """The ``--check`` bar: pipelined ≤ MAX_PIPELINED_RATIO× serial on CHECK_CELL."""
+    gated = [record for record in results
+             if (record["chunks"], record["cache"],
+                 record["executor"]) == CHECK_CELL]
+    if not gated:
+        return report.failed(f"gated cell {CHECK_CELL} was not measured")
+    ratio = gated[0]["pipelined_over_serial"]
+    if ratio > MAX_PIPELINED_RATIO:
+        return report.failed(f"pipelined/serial {ratio:.3f} > "
+                             f"{MAX_PIPELINED_RATIO} on the cold {CHECK_CELL[0]}-chunk "
+                             f"cell")
+    return report.passed(f"pipelined/serial {ratio:.3f} ≤ "
+                         f"{MAX_PIPELINED_RATIO} on the cold {CHECK_CELL[0]}-chunk cell")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default=None,
-                        help="JSON output path (default: BENCH_io.json at the "
-                             "repo root)")
-    parser.add_argument("--quick", action="store_true",
-                        help="smallest store and fewer repeats (CI smoke)")
+    parser = report.parser(
+        "io", __doc__,
+        quick="smallest store and fewer repeats (CI smoke)",
+        check=f"fail unless pipelined ≤ {MAX_PIPELINED_RATIO}x "
+              f"serial on the cold-cache "
+              f"{CHECK_CELL[0]}-chunk serial-executor cell")
     parser.add_argument("--repeats", type=int, default=None,
                         help="timing repeats per mode, best-of (default: 5, "
                              "quick: 3)")
-    parser.add_argument("--check", action="store_true",
-                        help=f"fail unless pipelined ≤ {MAX_PIPELINED_RATIO}x "
-                             f"serial on the cold-cache "
-                             f"{CHECK_CELL[0]}-chunk serial-executor cell")
     args = parser.parse_args(argv)
 
-    repo_root = Path(__file__).resolve().parent.parent
-    output = Path(args.output) if args.output else repo_root / "BENCH_io.json"
     chunk_counts = CHUNK_COUNTS[:1] if args.quick else CHUNK_COUNTS
     repeats = args.repeats or (3 if args.quick else 5)
     # the process executor reads chunks inside its worker processes, where the
@@ -226,13 +235,13 @@ def main(argv: list[str] | None = None) -> int:
                     results.append(bench_cell(path, n_chunks, cache,
                                               executor_mode, repeats))
 
-    payload = {
-        "harness": "benchmarks/bench_io.py",
-        "units": {
+    report.publish(
+        "io", args.output,
+        units={
             "seconds": "best-of-repeats wall seconds on a fresh store handle",
             "preads": "physical positional reads during the timed sweep",
         },
-        "workload": {
+        workload={
             "chunk_counts": chunk_counts,
             "slab_rows": SLAB_ROWS,
             "columns": COLUMNS,
@@ -240,45 +249,14 @@ def main(argv: list[str] | None = None) -> int:
             "executors": executor_modes,
             "operations": ["mean", "l2_norm"],
         },
-        "io_model": {
+        io_model={
             "warm": "store file in the OS page cache; preads are memcpy-fast",
             "cold": f"latency fault rule sleeps {COLD_DELAY_SECONDS}s before "
                     "every chunk read (deterministic model of uncached "
                     "storage; containers cannot drop the host page cache)",
         },
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "results": results,
-    }
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    table = format_table(results)
-    print()
-    print(table)
-    print(f"\nwrote {output}")
-    results_dir = repo_root / "benchmarks" / "results"
-    if results_dir.is_dir():
-        (results_dir / "bench_io.txt").write_text(table + "\n")
-
-    if args.check:
-        gated = [record for record in results
-                 if (record["chunks"], record["cache"],
-                     record["executor"]) == CHECK_CELL]
-        if not gated:
-            print(f"check failed: gated cell {CHECK_CELL} was not measured",
-                  file=sys.stderr)
-            return 1
-        ratio = gated[0]["pipelined_over_serial"]
-        if ratio > MAX_PIPELINED_RATIO:
-            print(f"check failed: pipelined/serial {ratio:.3f} > "
-                  f"{MAX_PIPELINED_RATIO} on the cold {CHECK_CELL[0]}-chunk "
-                  f"cell", file=sys.stderr)
-            return 1
-        print(f"check passed: pipelined/serial {ratio:.3f} ≤ "
-              f"{MAX_PIPELINED_RATIO} on the cold {CHECK_CELL[0]}-chunk cell")
-    return 0
+        results=results, table=format_table(results))
+    return check(results) if args.check else 0
 
 
 if __name__ == "__main__":

@@ -23,9 +23,6 @@ naive throughput at the highest client count run.
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import sys
 import tempfile
 import threading
@@ -39,6 +36,8 @@ from repro.core import CompressionSettings
 from repro.engine import expr
 from repro.serving import ChunkCache, QueryClient, StoreCatalog, ThreadedQueryService
 from repro.streaming import ChunkedCompressor
+
+import report
 
 #: Client counts swept per mode (quick is the CI smoke sweep).
 CLIENT_COUNTS = {"quick": [2, 6], "full": [2, 4, 8]}
@@ -206,23 +205,29 @@ def format_table(results: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def check(results: list[dict]) -> int:
+    """The ``--check`` bar: coalesced ≥ MIN_COALESCED_SPEEDUP× naive qps at
+    the highest client count."""
+    top = max(results, key=lambda record: record["clients"])
+    speedup = top["coalesced_over_naive_qps"]
+    if speedup < MIN_COALESCED_SPEEDUP:
+        return report.failed(f"coalesced/naive qps {speedup:.2f} < "
+                             f"{MIN_COALESCED_SPEEDUP} at {top['clients']} clients")
+    return report.passed(f"coalesced/naive qps {speedup:.2f} ≥ "
+                         f"{MIN_COALESCED_SPEEDUP} at {top['clients']} clients")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default=None,
-                        help="JSON output path (default: BENCH_serving.json at "
-                             "the repo root)")
-    parser.add_argument("--quick", action="store_true",
-                        help="small stores and low client counts (CI smoke)")
+    parser = report.parser(
+        "serving", __doc__,
+        quick="small stores and low client counts (CI smoke)",
+        check=f"fail unless coalesced qps ≥ "
+              f"{MIN_COALESCED_SPEEDUP}x naive at the highest "
+              "client count")
     parser.add_argument("--requests", type=int, default=None,
                         help="requests per client (default: 24, quick: 10)")
-    parser.add_argument("--check", action="store_true",
-                        help=f"fail unless coalesced qps ≥ "
-                             f"{MIN_COALESCED_SPEEDUP}x naive at the highest "
-                             "client count")
     args = parser.parse_args(argv)
 
-    repo_root = Path(__file__).resolve().parent.parent
-    output = Path(args.output) if args.output else repo_root / "BENCH_serving.json"
     shape, slab_rows = ((320, 96), 8) if args.quick else ((768, 128), 16)
     requests_per_client = args.requests or (10 if args.quick else 24)
 
@@ -235,43 +240,18 @@ def main(argv: list[str] | None = None) -> int:
                 bench_client_count(paths, n_clients, requests_per_client)
             )
 
-    payload = {
-        "harness": "benchmarks/bench_serving.py",
-        "units": {"qps": "client requests completed per wall-clock second",
-                  "latency": "client-side seconds per request (nearest-rank)"},
-        "workload": {
+    report.publish(
+        "serving", args.output,
+        units={"qps": "client requests completed per wall-clock second",
+               "latency": "client-side seconds per request (nearest-rank)"},
+        workload={
             "store_shape": list(shape),
             "slab_rows": slab_rows,
             "tick_seconds": TICK_SECONDS,
             "request_mix": [sorted(request) for request in REQUEST_MIX],
         },
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "results": results,
-    }
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    table = format_table(results)
-    print()
-    print(table)
-    print(f"\nwrote {output}")
-    results_dir = repo_root / "benchmarks" / "results"
-    if results_dir.is_dir():
-        (results_dir / "bench_serving.txt").write_text(table + "\n")
-
-    if args.check:
-        top = max(results, key=lambda record: record["clients"])
-        speedup = top["coalesced_over_naive_qps"]
-        if speedup < MIN_COALESCED_SPEEDUP:
-            print(f"check failed: coalesced/naive qps {speedup:.2f} < "
-                  f"{MIN_COALESCED_SPEEDUP} at {top['clients']} clients",
-                  file=sys.stderr)
-            return 1
-        print(f"check passed: coalesced/naive qps {speedup:.2f} ≥ "
-              f"{MIN_COALESCED_SPEEDUP} at {top['clients']} clients")
-    return 0
+        results=results, table=format_table(results))
+    return check(results) if args.check else 0
 
 
 if __name__ == "__main__":

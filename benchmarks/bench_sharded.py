@@ -29,9 +29,6 @@ the full-sweep time at every growth fraction ≤ 10%.
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import sys
 import tempfile
 import time
@@ -43,6 +40,8 @@ from repro import engine
 from repro.core import CompressionSettings
 from repro.engine import expr
 from repro.streaming import ShardedStore, append_shard, init_sharded_store
+
+import report
 
 #: Growth fractions swept: appended rows as a fraction of the base rows.
 GROWTH_FRACTIONS = [0.05, 0.10, 0.25]
@@ -168,24 +167,34 @@ def format_table(results: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def check(results: list[dict]) -> int:
+    """The ``--check`` bar: incremental ≤ MAX_INCREMENTAL_RATIO× full at every
+    growth ≤ CHECK_MAX_GROWTH."""
+    gated = [record for record in results
+             if record["growth_fraction"] <= CHECK_MAX_GROWTH]
+    worst = max(gated, key=lambda record: record["incremental_over_full"])
+    ratio = worst["incremental_over_full"]
+    if ratio > MAX_INCREMENTAL_RATIO:
+        return report.failed(f"incremental/full {ratio:.3f} > "
+                             f"{MAX_INCREMENTAL_RATIO} at growth "
+                             f"{worst['growth_fraction']:.0%}")
+    return report.passed(f"incremental/full {ratio:.3f} ≤ "
+                         f"{MAX_INCREMENTAL_RATIO} at every growth ≤ "
+                         f"{CHECK_MAX_GROWTH:.0%}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default=None,
-                        help="JSON output path (default: BENCH_sharded.json at "
-                             "the repo root)")
-    parser.add_argument("--quick", action="store_true",
-                        help="small store and fewer repeats (CI smoke)")
+    parser = report.parser(
+        "sharded", __doc__,
+        quick="small store and fewer repeats (CI smoke)",
+        check=f"fail unless incremental ≤ "
+              f"{MAX_INCREMENTAL_RATIO}x full-sweep time at "
+              f"every growth ≤ {CHECK_MAX_GROWTH:.0%}")
     parser.add_argument("--repeats", type=int, default=None,
                         help="timing repeats per cell, best-of (default: 5, "
                              "quick: 3)")
-    parser.add_argument("--check", action="store_true",
-                        help=f"fail unless incremental ≤ "
-                             f"{MAX_INCREMENTAL_RATIO}x full-sweep time at "
-                             f"every growth ≤ {CHECK_MAX_GROWTH:.0%}")
     args = parser.parse_args(argv)
 
-    repo_root = Path(__file__).resolve().parent.parent
-    output = Path(args.output) if args.output else repo_root / "BENCH_sharded.json"
     shape, slab_rows = ((1024, 96), 16) if args.quick else ((2048, 128), 32)
     repeats = args.repeats or (3 if args.quick else 5)
 
@@ -206,49 +215,21 @@ def main(argv: list[str] | None = None) -> int:
                              slab_rows, repeats)
             )
 
-    payload = {
-        "harness": "benchmarks/bench_sharded.py",
-        "units": {
+    report.publish(
+        "sharded", args.output,
+        units={
             "seconds": "best-of-repeats wall seconds on a fresh store handle",
             "decodes": "chunks decoded during the timed query",
         },
-        "workload": {
+        workload={
             "base_shape": list(shape),
             "slab_rows": slab_rows,
             "repeats": repeats,
             "init_seconds": init_seconds,
             "operations": ["mean", "l2_norm", "dot_self"],
         },
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "results": results,
-    }
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    table = format_table(results)
-    print()
-    print(table)
-    print(f"\nwrote {output}")
-    results_dir = repo_root / "benchmarks" / "results"
-    if results_dir.is_dir():
-        (results_dir / "bench_sharded.txt").write_text(table + "\n")
-
-    if args.check:
-        gated = [record for record in results
-                 if record["growth_fraction"] <= CHECK_MAX_GROWTH]
-        worst = max(gated, key=lambda record: record["incremental_over_full"])
-        ratio = worst["incremental_over_full"]
-        if ratio > MAX_INCREMENTAL_RATIO:
-            print(f"check failed: incremental/full {ratio:.3f} > "
-                  f"{MAX_INCREMENTAL_RATIO} at growth "
-                  f"{worst['growth_fraction']:.0%}", file=sys.stderr)
-            return 1
-        print(f"check passed: incremental/full {ratio:.3f} ≤ "
-              f"{MAX_INCREMENTAL_RATIO} at every growth ≤ "
-              f"{CHECK_MAX_GROWTH:.0%}")
-    return 0
+        results=results, table=format_table(results))
+    return check(results) if args.check else 0
 
 
 if __name__ == "__main__":

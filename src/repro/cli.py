@@ -75,7 +75,6 @@ Examples
     repro stream-ops scale a.pblzc --scalar 2.5 --out scaled.pblzc
     repro serve temps=temps.pblzc wind=wind.pblzc --port 7777
     repro serve temps=temps.pblzc --port 7777 --deadline 5 --max-in-flight 64
-    repro serve temps=temps.pblzc --port 7777 --prefetch 0
     repro query --port 7777 --op mean:temps --op covariance:temps,wind --json
     repro query --port 7777 --op mean:temps --retries 3 --deadline 10
     repro query --port 7777 --stats
@@ -107,6 +106,7 @@ from .kernels import (
     backend_is_available,
     get_backend_class,
 )
+from .serving import DEFAULT_TICK_SECONDS
 from .streaming import ChunkedCompressor, CompressedStore, stream_compress
 from .streaming.sharded import (append_shard, init_sharded_store,
                                 is_sharded_store, open_store)
@@ -313,10 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=0,
                          help="TCP port (default: 0 = ephemeral; the bound "
                               "port is printed on startup)")
-    p_serve.add_argument("--tick", type=float, default=None,
+    p_serve.add_argument("--tick", type=float, default=DEFAULT_TICK_SECONDS,
                          help="coalescing window in seconds: requests arriving "
                               "within one tick share a single fused plan "
-                              "(default: 0.002)")
+                              "(default: %(default)g)")
     p_serve.add_argument("--no-coalesce", action="store_true",
                          help="execute one plan per request instead of fusing "
                               "each tick's batch (the benchmark baseline)")
@@ -341,11 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="process-pool workers for batch execution; a "
                               "crashed pool degrades the batch to a serial "
                               "re-run (default: 0 = in-process serial)")
-    p_serve.add_argument("--prefetch", type=int, default=None, metavar="N",
-                         help="warm-path control: each batch's store chunks "
-                              "are decoded into the chunk cache ahead of the "
-                              "plan sweep (default: on when caching; 0 "
-                              "disables — see docs/performance.md)")
 
     p_query = sub.add_parser(
         "query",
@@ -794,31 +789,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"error: cannot read store {path!r}: {exc}", file=sys.stderr)
             return 2
         mapping[name] = path
-    if args.cache_bytes == 0:
-        cache = None
-    elif args.cache_bytes is None:
-        cache = ChunkCache()
-    else:
-        cache = ChunkCache(args.cache_bytes)
-    tick = args.tick if args.tick is not None else 0.002
-    if args.deadline is not None and args.deadline <= 0:
-        print("error: --deadline must be positive", file=sys.stderr)
-        return 2
-    if args.max_in_flight is not None and args.max_in_flight < 1:
-        print("error: --max-in-flight must be at least 1", file=sys.stderr)
-        return 2
-    if args.workers < 0:
-        print("error: --workers cannot be negative", file=sys.stderr)
-        return 2
-    with StoreCatalog(mapping, cache=cache) as catalog:
-        service = QueryService(catalog, tick=tick,
+    try:
+        if args.cache_bytes == 0:
+            cache = None
+        elif args.cache_bytes is None:
+            cache = ChunkCache()
+        else:
+            cache = ChunkCache(args.cache_bytes)
+        catalog = StoreCatalog(mapping, cache=cache)  # opens no store yet
+        service = QueryService(catalog, tick=args.tick,
                                coalesce=not args.no_coalesce,
                                backend=args.backend,
                                deadline=args.deadline,
                                max_in_flight=args.max_in_flight,
-                               workers=args.workers,
-                               prefetch=args.prefetch)
-
+                               workers=args.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with catalog:
         async def run() -> None:
             host, port = await service.start(args.host, args.port)
             print(f"serving {len(catalog)} store(s) on {host}:{port} "

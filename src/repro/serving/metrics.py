@@ -56,8 +56,6 @@ class ServiceMetrics:
         self.max_batch = 0
         self.plans_by_backend: Counter = Counter()
         self.degradations: Counter = Counter()
-        self.prefetch_batches = 0
-        self.prefetch_chunks = 0
 
     # ------------------------------------------------------------------ recording
     def record_received(self) -> None:
@@ -118,18 +116,6 @@ class ServiceMetrics:
             self.plan_seconds_total += float(seconds)
             self.plans_by_backend[backend or "reference"] += n_plans
 
-    def record_prefetch(self, n_chunks: int) -> None:
-        """One scheduler tick warmed ``n_chunks`` chunks ahead of its batch.
-
-        The cache-side effectiveness split (issued/used/wasted) lives in the
-        :class:`ChunkCache` snapshot; this counts the warm-path *activity* the
-        scheduler drove, so an idle prefetcher is visible as zero here even
-        when the cache is busy from sweep-side fills.
-        """
-        with self._lock:
-            self.prefetch_batches += 1
-            self.prefetch_chunks += n_chunks
-
     # ------------------------------------------------------------------ reporting
     def snapshot(self) -> dict:
         """Everything the stats endpoint returns, as one JSON-ready dict."""
@@ -160,10 +146,6 @@ class ServiceMetrics:
                     "by_backend": dict(self.plans_by_backend),
                 },
                 "latency_seconds": latency,
-                "prefetch": {
-                    "batches": self.prefetch_batches,
-                    "chunks_warmed": self.prefetch_chunks,
-                },
                 "reliability": {
                     "overloaded": self.requests_overloaded,
                     "deadline_exceeded": self.requests_deadline_exceeded,

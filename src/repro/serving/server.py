@@ -39,7 +39,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any
 
 from .. import engine
 from ..core.exceptions import CodecError
@@ -105,29 +104,27 @@ class QueryService:
         :class:`repro.parallel.ProcessExecutor` with this many worker
         processes; a crashed pool degrades the batch to serial execution
         (recorded in the metrics degradation counters) instead of failing it.
-        ``0`` (default) executes serially on the worker thread.
-    prefetch:
-        Warm-path control (``docs/performance.md``): when the catalog has a
-        chunk cache and ``prefetch`` is not ``0``, each scheduler tick also
-        submits the batch's referenced stores to a background warm thread
-        that decodes their chunks into the shared cache via
-        :func:`repro.streaming.warm_store_cache`, so the plan sweep finds
-        them hot.  ``0`` disables the warm path entirely; other values are
-        reserved for future depth tuning (the cache byte budget is the real
-        bound today).
+        ``0`` (default) executes serially on the worker thread; negative
+        values raise ``ValueError``.
+
+    The catalog's chunk cache, when it has one, is filled by the plan sweeps
+    themselves: a cold batch decodes each chunk once, on the plan thread, and
+    later batches hit.  To warm a store before the first request, call
+    :meth:`StoreCatalog.prefetch` (:func:`repro.streaming.warm_store_cache`).
     """
 
     def __init__(self, catalog: StoreCatalog, *, tick: float = DEFAULT_TICK_SECONDS,
                  coalesce: bool = True, metrics: ServiceMetrics | None = None,
                  backend: str | None = None, deadline: float | None = None,
-                 max_in_flight: int | None = None, workers: int = 0,
-                 prefetch: int | None = None):
+                 max_in_flight: int | None = None, workers: int = 0):
         if tick < 0:
             raise ValueError("tick must be non-negative")
         if deadline is not None and deadline <= 0:
             raise ValueError("deadline must be positive (or None)")
         if max_in_flight is not None and max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1 (or None)")
+        if workers < 0:
+            raise ValueError("workers must be non-negative")
         if backend is not None:
             from ..kernels import get_backend_class
             get_backend_class(str(backend).lower())  # fail fast on unknown names
@@ -148,13 +145,6 @@ class QueryService:
         self._queue: "asyncio.Queue[_Pending | None]" = asyncio.Queue()
         self._pool = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="repro-serving-plan")
-        self.prefetch = prefetch
-        if prefetch != 0 and catalog.cache is not None:
-            self._warm_pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-serving-prefetch"
-            )
-        else:
-            self._warm_pool = None
         self._server: asyncio.AbstractServer | None = None
         self._scheduler_task: asyncio.Task | None = None
         self._in_flight = 0  # event-loop-only state, no lock needed
@@ -221,8 +211,6 @@ class QueryService:
                     ValueError("server shut down before this request ran")
                 )
         self._pool.shutdown(wait=True)
-        if self._warm_pool is not None:
-            self._warm_pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------ connections
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -353,11 +341,6 @@ class QueryService:
                     break
                 batch.append(extra)
             start = time.perf_counter()
-            if self._warm_pool is not None:
-                # overlap cache warm-up with the tick's dispatch latency: the
-                # warm thread decodes the batch's store chunks into the shared
-                # cache while the plan thread is still spinning up
-                self._warm_pool.submit(self._warm_batch, batch)
             try:
                 per_request, n_plans, passes, backend = await loop.run_in_executor(
                     self._pool, self._execute_batch, batch
@@ -417,41 +400,6 @@ class QueryService:
             passes += solo.n_passes
             executed = solo.last_execution["backend"]
         return per_request, len(batch), passes, executed
-
-    def _warm_batch(self, batch: list[_Pending]) -> None:
-        """Warm the chunk cache for every store a batch's expressions touch.
-
-        Runs on the dedicated prefetch thread.  Walks each request's
-        expression trees for :class:`~repro.engine.expr.Source` leaves that
-        wrap open stores, dedups them by identity, and pushes each through
-        :func:`repro.streaming.warm_store_cache` — coalesced span reads,
-        decode, ``put(..., prefetched=True)``.  Best-effort by design: any
-        store error here is swallowed (the sweep itself will surface it with
-        full retry/integrity semantics), and a cache-less catalog makes this
-        a no-op.
-        """
-        from ..engine.expr import Source
-        from ..streaming.prefetch import warm_store_cache
-        from ..streaming.sources import STORE_TYPES
-
-        stores: dict[int, Any] = {}
-        for item in batch:
-            stack = list(item.outputs.values())
-            while stack:
-                node = stack.pop()
-                if isinstance(node, Source):
-                    if isinstance(node.wrapped, STORE_TYPES):
-                        stores[id(node.wrapped)] = node.wrapped
-                else:
-                    stack.extend(getattr(node, "operands", ()))
-        warmed = 0
-        for store in stores.values():
-            try:
-                warmed += warm_store_cache(store)
-            except Exception:  # noqa: BLE001 - warm path must never fail a batch
-                continue
-        if warmed:
-            self.metrics.record_prefetch(warmed)
 
     def _run_plan(self, built: "engine.Plan"):
         """Execute one plan with the service's degradation ladder applied.

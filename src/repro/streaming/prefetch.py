@@ -87,20 +87,19 @@ DEFAULT_SPAN_CHUNKS = 8
 _MIN_AUTO_CHUNKS = 4
 
 
-def resolve_depth(prefetch: int | None, *, n_chunks: int | None = None,
-                  workers: int = DEFAULT_PREFETCH_WORKERS) -> int:
+def resolve_depth(prefetch: int | None, *, n_chunks: int | None = None) -> int:
     """Resolve a user-facing ``prefetch`` setting into an in-flight span depth.
 
-    ``None`` selects auto: ~2× the fetch-worker count, except for stores of
-    fewer than a handful of chunks (when ``n_chunks`` is known) where the
-    serial path wins.  ``0`` disables prefetching outright; a positive integer
+    ``None`` selects auto: 2× :data:`DEFAULT_PREFETCH_WORKERS`, except for
+    stores of fewer than a handful of chunks (when ``n_chunks`` is known)
+    where the serial path wins.  ``0`` disables prefetching outright; a positive integer
     is used verbatim as the bounded window of span fetches in flight.
     Negative values raise ``ValueError``.
     """
     if prefetch is None:
         if n_chunks is not None and n_chunks < _MIN_AUTO_CHUNKS:
             return 0
-        return 2 * max(1, int(workers))
+        return 2 * DEFAULT_PREFETCH_WORKERS
     depth = int(prefetch)
     if depth < 0:
         raise ValueError(f"prefetch depth must be >= 0, got {prefetch!r}")
@@ -363,11 +362,13 @@ class ChunkPrefetcher:
 def warm_store_cache(store, indices: Iterable[int] | None = None) -> int:
     """Decode ``store``'s uncached chunks into its attached chunk cache.
 
-    The serving scheduler's warm path: span-reads every chunk of ``indices``
-    (default: all) that is not already cached, decodes it, and inserts it with
-    ``prefetched=True`` so the cache's prefetch effectiveness counters track
-    whether warmed entries were later used or evicted unused.  Warming counts
-    into ``chunks_prefetched`` but **not** ``chunks_read`` — no logical read
+    The explicit warm-up (:meth:`repro.serving.StoreCatalog.prefetch`):
+    span-reads every chunk of ``indices`` (default: all) that is not already
+    cached, one :func:`_plan_spans` span at a time, decodes it, and inserts it
+    with ``prefetched=True`` so the cache's prefetch effectiveness counters
+    track whether warmed entries were later used or evicted unused.  At most
+    one span's payloads are resident at once.  Warming counts into
+    ``chunks_prefetched`` but **not** ``chunks_read`` — no logical read
     happened yet.  Returns the number of chunks warmed; a store without a
     cache warms nothing.
     """
@@ -375,7 +376,7 @@ def warm_store_cache(store, indices: Iterable[int] | None = None) -> int:
         return 0
     chunk_indices = range(store.n_chunks) if indices is None else indices
     warmed = 0
-    for real, locals_ in _segment_tasks(store, chunk_indices):
+    for real, locals_ in _plan_spans(store, chunk_indices):
         cache = real.chunk_cache
         if cache is None:  # pragma: no cover - shards share the parent cache
             continue

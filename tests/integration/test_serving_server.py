@@ -86,10 +86,11 @@ class TestSingleClient:
         assert stats["requests"]["served"] == 1
         assert stats["plans"]["executed"] == 1
         assert stats["latency_seconds"]["count"] == 1
-        # the cold store populated the cache — either the sweep itself
-        # (misses) or the scheduler's warm path (prefetch_issued), depending
-        # on which thread reached the chunks first
-        assert stats["cache"]["misses"] + stats["cache"]["prefetch_issued"] > 0
+        # the one plan thread decoded every chunk of the cold store once
+        assert stats["cache"]["hits"] == 0
+        assert stats["cache"]["misses"] == catalog.get("a").n_chunks
+        assert stats["cache"]["prefetch_issued"] == 0
+        assert "prefetch" not in stats
         assert listing["a"]["codec"] == "pyblaz"
         assert listing["a"]["shape"] == [48, 12]
 
@@ -103,6 +104,20 @@ class TestSingleClient:
                 warm = client.stats()["cache"]
         assert warm["hits"] > cold["hits"]
         assert warm["misses"] == cold["misses"]  # nothing re-decoded
+
+
+class TestShutdown:
+    def test_no_thread_outlives_the_service(self, catalog):
+        assert catalog.cache is not None
+        baseline = threading.active_count()
+        with ThreadedQueryService(catalog) as served:
+            with QueryClient(served.host, served.port) as client:
+                client.evaluate({"m": expr.mean(expr.source("a"))})
+                assert client.stats()["plans"]["batches"] == 1
+        leaked = [thread.name for thread in threading.enumerate()
+                  if thread.name.startswith("repro-serving")]
+        assert leaked == []
+        assert threading.active_count() == baseline
 
 
 class TestErrorPaths:

@@ -457,3 +457,19 @@ class TestServeQueryCommands:
         plain.write_bytes(b"not a store at all")
         assert main(["serve", f"x={plain}"]) == 2
         assert "not a chunked store" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tick", "-1"), ("--cache-bytes", "-1"), ("--deadline", "0"),
+        ("--max-in-flight", "0"), ("--workers", "-1"),
+    ])
+    def test_serve_rejects_bad_values(self, tmp_path, capsys, flag, value):
+        npy = tmp_path / "x.npy"
+        np.save(npy, smooth_field((16, 8), seed=1))
+        assert main(["stream-compress", str(npy), str(tmp_path / "x.pblzc"),
+                     "--block", "4,4", "--slab-rows", "8"]) == 0
+        capsys.readouterr()
+        assert main(["serve", f"x={tmp_path / 'x.pblzc'}", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert "serving" not in captured.out

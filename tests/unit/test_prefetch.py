@@ -27,6 +27,7 @@ from repro.streaming import (
     resolve_depth,
     warm_store_cache,
 )
+from repro.streaming.prefetch import DEFAULT_SPAN_CHUNKS
 from repro.streaming.sources import aligned_chunks
 
 from tests.conftest import smooth_field
@@ -60,7 +61,6 @@ def _chunk_bytes(store, *, prefetch):
 class TestResolveDepth:
     def test_none_is_auto(self):
         assert resolve_depth(None) == 4  # 2 x default workers
-        assert resolve_depth(None, workers=3) == 6
 
     def test_auto_disables_for_tiny_stores(self):
         assert resolve_depth(None, n_chunks=2) == 0
@@ -275,6 +275,30 @@ class TestWarmStoreCache:
         assert store.chunk_cache is None
         assert warm_store_cache(store) == 0
         assert store.chunks_prefetched == 0
+
+    def test_reads_one_span_at_a_time(self, tmp_path, settings):
+        from repro.serving import ChunkCache
+
+        with ChunkedCompressor(settings, slab_rows=8).compress_to_store(
+            smooth_field((128, 20), seed=3), tmp_path / "sixteen.pblzc"
+        ) as sixteen:
+            assert sixteen.n_chunks == 16
+            cache = ChunkCache(max_bytes=64 * 1024 * 1024)
+            sixteen.chunk_cache = cache
+            read_span = sixteen.read_payload_span
+            counts = []
+
+            def recording(indices, *args, **kwargs):
+                counts.append(len(indices))
+                return read_span(indices, *args, **kwargs)
+
+            sixteen.read_payload_span = recording
+            assert warm_store_cache(sixteen) == 16
+            assert max(counts) <= DEFAULT_SPAN_CHUNKS
+            assert sum(counts) == 16
+            assert sixteen.chunks_prefetched == 16
+            assert sixteen.chunks_read == 0
+            assert cache.prefetch_issued == 16 and len(cache) == 16
 
 
 class TestPlanStats:

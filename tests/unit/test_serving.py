@@ -398,12 +398,3 @@ class TestPrefetchCounters:
         catalog = StoreCatalog({"x": store_path})
         assert catalog.prefetch("x") == 0
         catalog.close()
-
-    def test_metrics_record_prefetch(self):
-        metrics = ServiceMetrics()
-        snap = metrics.snapshot()
-        assert snap["prefetch"] == {"batches": 0, "chunks_warmed": 0}
-        metrics.record_prefetch(6)
-        metrics.record_prefetch(2)
-        snap = metrics.snapshot()
-        assert snap["prefetch"] == {"batches": 2, "chunks_warmed": 8}
