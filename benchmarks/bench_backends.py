@@ -19,7 +19,6 @@ GPU argument centres on; the acceptance bar (enforced by ``--check``) is the
 from __future__ import annotations
 
 import sys
-import time
 
 import numpy as np
 
@@ -47,15 +46,6 @@ def _workload_array(shape: tuple[int, ...], float_format: str) -> np.ndarray:
     array = np.cumsum(rng.standard_normal(shape), axis=0) * 0.05
     dtype = np.float32 if float_format in ("bfloat16", "float16", "float32") else np.float64
     return np.ascontiguousarray(array, dtype=dtype)
-
-
-def _best_seconds(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def bench_workload(label, shape, block, transform, float_format, index_dtype, repeats):
@@ -87,8 +77,10 @@ def bench_workload(label, shape, block, transform, float_format, index_dtype, re
         compressor = Compressor(settings, backend=backend)
         warm = compressor.compress(array[: block[0] * 2])  # noqa: F841 — JIT/cache warm-up
         compressed = compressor.compress(array)
-        compress_seconds = _best_seconds(lambda: compressor.compress(array), repeats)
-        decompress_seconds = _best_seconds(lambda: compressor.decompress(compressed), repeats)
+        compress_seconds, _ = report.best_of(
+            repeats, lambda: report.timed(compressor.compress, array))
+        decompress_seconds, _ = report.best_of(
+            repeats, lambda: report.timed(compressor.decompress, compressed))
         records.append(
             {
                 **base,

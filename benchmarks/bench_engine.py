@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -112,15 +111,6 @@ def _fused_plan(store_a, store_b):
     })
 
 
-def _best_seconds(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def bench_workload(label: str, shape: tuple[int, ...], slab_rows: int,
                    repeats: int) -> dict:
     """Time sequential vs fused on one store pair; verify bit-identity."""
@@ -150,10 +140,11 @@ def bench_workload(label: str, shape: tuple[int, ...], slab_rows: int,
                     f"fused results diverged from sequential on {mismatched}"
                 )
 
-            sequential_seconds = _best_seconds(
-                lambda: _sequential(store_a, store_b), repeats
+            sequential_seconds, _ = report.best_of(
+                repeats, lambda: report.timed(_sequential, store_a, store_b)
             )
-            fused_seconds = _best_seconds(plan.execute, repeats)
+            fused_seconds, _ = report.best_of(
+                repeats, lambda: report.timed(plan.execute))
             compiled = [
                 _bench_compiled(name, plan, fused_values, fused_seconds, repeats)
                 for name in COMPILED_BACKENDS
@@ -187,9 +178,7 @@ def _bench_compiled(name: str, plan, reference_values: dict,
     if not backend_is_available(name):
         return {"backend": name, "available": False,
                 "reason": "backend not importable in this environment"}
-    warmup_start = time.perf_counter()
-    compiled_values = plan.execute(backend=name)
-    warmup_seconds = time.perf_counter() - warmup_start
+    warmup_seconds, compiled_values = report.timed(plan.execute, backend=name)
     stats = dict(plan.last_execution)
     max_rel = max(
         abs(compiled_values[op] - reference_values[op])
@@ -202,9 +191,8 @@ def _bench_compiled(name: str, plan, reference_values: dict,
         )
     if compiled_values["mean"] != reference_values["mean"]:
         raise AssertionError(f"{name} compiled mean is not bit-identical")
-    compiled_seconds = _best_seconds(
-        lambda: plan.execute(backend=name), repeats
-    )
+    compiled_seconds, _ = report.best_of(
+        repeats, lambda: report.timed(plan.execute, backend=name))
     return {
         "backend": name,
         "available": True,

@@ -6,7 +6,8 @@ is paid once per span.  This script measures where that stops paying: it
 evaluates the six Table I reductions over two stores in one plan, at several
 chunk sizes, forcing ``k`` chunks per step and then using the engine's own
 rule, and prints the median wall time of each.  Every variant returns the
-same scalars (asserted ``==`` before timing is reported).
+same scalars (asserted ``==`` before timing is reported), and every variant
+must be asked for its steps by the sweep, so the forced sizes really apply.
 
 Run from the repository root::
 
@@ -57,6 +58,14 @@ def measure(directory: Path, slab_rows: int, repeats: int) -> dict:
     rule = sources.fold_steps
     variants = {f"k={k}": forced_steps(k) for k in FORCED}
     variants["rule"] = rule
+    asked: dict[str, int] = {name: 0 for name in variants}
+
+    def counted(name: str):
+        """``variants[name]``, counting how often the sweep asks it for steps."""
+        def steps(stores: tuple) -> list[int]:
+            asked[name] += 1
+            return variants[name](stores)
+        return steps
     with CompressedStore(paths[0]) as a, CompressedStore(paths[1]) as b:
         x, y = expr.source(a), expr.source(b)
         plan = engine.plan({
@@ -71,11 +80,15 @@ def measure(directory: Path, slab_rows: int, repeats: int) -> dict:
             for repeat in range(repeats):
                 order = list(variants) if repeat % 2 else list(variants)[::-1]
                 for name in order:
-                    sources.fold_steps = variants[name]
+                    sources.fold_steps = counted(name)
+                    before = asked[name]
                     start = time.perf_counter()
                     values = plan.execute()
                     times[name].append(time.perf_counter() - start)
                     assert values == reference, name
+                    # a sweep that stopped consulting fold_steps would time
+                    # the same steps under every name; fail instead
+                    assert asked[name] > before, f"{name}: fold steps never reached the sweep"
         finally:
             sources.fold_steps = rule
         record_kib = a._record_extent(0)[1] / 1024

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -100,19 +99,15 @@ def _timed_sweep(path: Path, *, prefetch: int | None, workers: int,
     if workers > 0:
         from repro.parallel import ProcessExecutor
         executor = ProcessExecutor(n_workers=workers)  # pools are per map call
-    best = float("inf")
-    values: dict = {}
-    chunks_read = preads = 0
-    for _ in range(repeats):
+
+    def trial():
         with CompressedStore(path) as store:
             fused = _workload(store)  # plan build untimed: same both modes
-            start = time.perf_counter()
-            values = fused.execute(executor=executor, prefetch=prefetch)
-            seconds = time.perf_counter() - start
-            if seconds < best:
-                best = seconds
-                chunks_read = store.chunks_read
-                preads = store.preads
+            seconds, values = report.timed(fused.execute, executor=executor,
+                                           prefetch=prefetch)
+            return seconds, (values, store.chunks_read, store.preads)
+
+    best, (values, chunks_read, preads) = report.best_of(repeats, trial)
     return values, best, chunks_read, preads
 
 

@@ -87,18 +87,14 @@ def _timed_query(path: Path, *, use_partials: bool,
     handle per repeat keeps the comparison honest: nothing is served from a
     warm in-process object, so "full" really decodes every chunk again.
     """
-    best = float("inf")
-    values: dict = {}
-    chunks_read = incremental = 0
-    for _ in range(repeats):
+    def trial():
         with ShardedStore(path, use_partials=use_partials) as store:
             fused = _workload(store)  # plan build is untimed: same both modes
-            start = time.perf_counter()
-            values = fused.execute()
-            seconds = time.perf_counter() - start
-            chunks_read = store.chunks_read
-            incremental = fused.last_execution["incremental_groups"]
-        best = min(best, seconds)
+            seconds, values = report.timed(fused.execute)
+            return seconds, (values, store.chunks_read,
+                             fused.last_execution["incremental_groups"])
+
+    best, (values, chunks_read, incremental) = report.best_of(repeats, trial)
     return values, best, chunks_read, incremental
 
 

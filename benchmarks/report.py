@@ -1,7 +1,7 @@
-"""The command line, JSON record and ``--check`` verdict the bench_*.py scripts share.
+"""The command line, timing loop, JSON record and ``--check`` verdict of bench_*.py.
 
 Every ``benchmarks/bench_<name>.py`` script takes ``--output``/``--quick``/
-``--check``, writes ``BENCH_<name>.json`` at the repository root (harness,
+``--check``, times with :func:`best_of`, writes ``BENCH_<name>.json`` at the repository root (harness,
 units, the script's own sections, environment, results), prints its table and
 mirrors it to ``benchmarks/results/bench_<name>.txt``, and under ``--check``
 ends with one ``check passed``/``check failed`` line and exit code.  This
@@ -15,6 +15,7 @@ import argparse
 import json
 import platform
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,23 @@ def parser(name: str, doc: str, *, quick: str, check: str) -> argparse.ArgumentP
     parsed.add_argument("--quick", action="store_true", help=quick)
     parsed.add_argument("--check", action="store_true", help=check)
     return parsed
+
+
+def timed(fn, *args, **kwargs) -> tuple[float, object]:
+    """``(wall seconds, result)`` of one call ``fn(*args, **kwargs)``."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return time.perf_counter() - start, result
+
+
+def best_of(repeats: int, trial) -> tuple[float, object]:
+    """The fastest of ``repeats`` runs of ``trial``: its ``(seconds, result)``.
+
+    ``trial()`` returns ``(seconds, result)``, usually :func:`timed` around
+    the part worth timing, so per-repeat set-up (a fresh store handle, a
+    plan build) stays untimed.  Ties keep the earliest run.
+    """
+    return min((trial() for _ in range(repeats)), key=lambda run: run[0])
 
 
 def publish(name: str, output: str | None, *, units: dict, results: list[dict],

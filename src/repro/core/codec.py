@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import struct
+from typing import Sequence
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
     "unpack_block_geometry",
     "serialize",
     "deserialize",
+    "decode_span",
     "save",
     "load",
 ]
@@ -148,19 +150,26 @@ def pack_floats(values: np.ndarray, fmt: FloatFormat) -> bytes:
     raise ValueError(f"unsupported float format {fmt}")  # pragma: no cover - defensive
 
 
+#: Little-endian storage dtype of each float format's packed values (bfloat16
+#: keeps the upper 16 bits of a float32).
+_STORAGE_DTYPES: dict[str, str] = {
+    "float64": "<f8", "float32": "<f4", "float16": "<f2", "bfloat16": "<u2",
+}
+
+
+def _widen(stored: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    """Float64 values of ``stored``, an array of ``fmt``'s storage dtype."""
+    if fmt.name == "bfloat16":
+        bits = stored.astype(np.uint32) << np.uint32(16)
+        return bits.view(np.float32).astype(np.float64)
+    return stored.astype(np.float64)
+
+
 def unpack_floats(data: bytes, count: int, fmt: FloatFormat) -> np.ndarray:
     """Inverse of :func:`pack_floats`, returning float64 values."""
-    if fmt.name == "float64":
-        return np.frombuffer(data, dtype="<f8", count=count).astype(np.float64)
-    if fmt.name == "float32":
-        return np.frombuffer(data, dtype="<f4", count=count).astype(np.float64)
-    if fmt.name == "float16":
-        return np.frombuffer(data, dtype="<f2", count=count).astype(np.float64)
-    if fmt.name == "bfloat16":
-        upper = np.frombuffer(data, dtype="<u2", count=count).astype(np.uint32)
-        bits = upper << np.uint32(16)
-        return bits.view(np.float32).astype(np.float64)
-    raise ValueError(f"unsupported float format {fmt}")  # pragma: no cover - defensive
+    if fmt.name not in _STORAGE_DTYPES:  # pragma: no cover - defensive
+        raise ValueError(f"unsupported float format {fmt}")
+    return _widen(np.frombuffer(data, dtype=_STORAGE_DTYPES[fmt.name], count=count), fmt)
 
 
 def float_bytes(count: int, fmt: FloatFormat) -> int:
@@ -275,8 +284,8 @@ def serialize(compressed: CompressedArray) -> bytes:
     return bytes(header) + bytes(payload)
 
 
-def deserialize(data: bytes) -> CompressedArray:
-    """Reconstruct a :class:`CompressedArray` from bytes produced by :func:`serialize`."""
+def _read_header(data: bytes) -> tuple[CompressionSettings, tuple[int, ...], int]:
+    """Parse a stream's header: ``(settings, shape, payload offset)``."""
     if data[:5] == _MAGIC + b"C":
         # the chunked-store magic "PBLZC" shares this format's "PBLZ" prefix;
         # catch it here so the error names the right tool instead of reporting a
@@ -298,7 +307,13 @@ def deserialize(data: bytes) -> CompressedArray:
     settings, offset = unpack_block_geometry(
         data, offset, ndim, float_format, index_dtype, transform
     )
+    return settings, shape, offset
 
+
+def deserialize(data: bytes) -> CompressedArray:
+    """Reconstruct a :class:`CompressedArray` from bytes produced by :func:`serialize`."""
+    settings, shape, offset = _read_header(data)
+    float_format = settings.float_format
     grid_shape = settings.block_grid_shape(shape)
     n_blocks = math.prod(grid_shape)
     maxima_nbytes = float_bytes(n_blocks, float_format)
@@ -309,10 +324,96 @@ def deserialize(data: bytes) -> CompressedArray:
     kept = settings.kept_per_block
     indices_count = n_blocks * kept
     indices = np.frombuffer(
-        data, dtype=index_dtype.newbyteorder("<"), count=indices_count, offset=offset
+        data, dtype=settings.index_dtype.newbyteorder("<"), count=indices_count,
+        offset=offset,
     )
-    indices = indices.astype(index_dtype).reshape(n_blocks, kept)
+    indices = indices.astype(settings.index_dtype).reshape(n_blocks, kept)
 
+    return CompressedArray(settings=settings, shape=shape, maxima=maxima, indices=indices)
+
+
+#: Bytes ahead of the shape in a stream header: magic, version and type codes.
+_CODES_END = len(_MAGIC) + 1 + 4
+
+
+def _header_mismatch(position: int, record: bytes, first: bytes, shape_end: int,
+                     header_end: int) -> CodecError:
+    """The error for a span record whose header differs from chunk 0's."""
+    if len(record) < header_end:
+        return CodecError(f"chunk {position} is truncated ({len(record)} bytes, shorter "
+                          f"than its {header_end}-byte header)")
+    if record[:_CODES_END] != first[:_CODES_END]:
+        return CodecError(f"chunk {position} has different type codes than chunk 0")
+    if record[_CODES_END + 8 : shape_end] != first[_CODES_END + 8 : shape_end]:
+        return CodecError(f"chunk {position} has a different trailing shape than chunk 0")
+    return CodecError(f"chunk {position} has a different block geometry or pruning mask "
+                      "than chunk 0")
+
+
+def decode_span(records: Sequence[bytes]) -> CompressedArray:
+    """Decode consecutive row chunks' streams straight into one joined array.
+
+    Equal to ``concatenate_rows([deserialize(r) for r in records])``, with
+    the same bits, but the header is parsed once and every record's maxima
+    and indices are copied straight from the record bytes into one array
+    each: no per-record :class:`CompressedArray` and no second join copy.
+    Every record must repeat the first one's header except for its row
+    count.  Raises :class:`CodecError`, naming the chunk's position in
+    ``records``, when a record is not a valid stream, carries different type
+    codes, trailing shape or block geometry (mask included), is truncated or
+    has trailing bytes, or is a ragged chunk (a row count that is not a
+    multiple of the block extent) anywhere but last.
+    """
+    if not records:
+        raise CodecError("cannot decode an empty span of chunk streams")
+    try:
+        settings, shape, header_end = _read_header(records[0])
+    except (struct.error, KeyError, ValueError) as exc:  # CodecError included
+        raise CodecError(f"chunk 0 has a corrupt stream header: {exc}") from exc
+    first = records[0]
+    shape_end = _CODES_END + 8 * len(shape)
+    codes, rest = first[:_CODES_END], first[_CODES_END + 8 : header_end]
+    block_rows = settings.block_shape[0]
+    row_blocks = math.prod(settings.block_grid_shape((block_rows,) + shape[1:]))
+    kept = settings.kept_per_block
+    float_width = settings.float_format.storage_bits // 8
+    block_bytes = float_width + kept * settings.index_dtype.itemsize
+    last = len(records) - 1
+    counts = []
+    rows = 0
+    for position, record in enumerate(records):
+        # everything but the row count must repeat chunk 0's header
+        if not record.startswith(codes) or record[_CODES_END + 8 : header_end] != rest:
+            raise _header_mismatch(position, record, first, shape_end, header_end)
+        n_rows = int.from_bytes(record[_CODES_END : _CODES_END + 8], "little")
+        if position < last and n_rows % block_rows:
+            raise CodecError(
+                f"chunk {position} has {n_rows} rows, not a multiple of the block "
+                f"extent {block_rows}; only the last chunk may be ragged"
+            )
+        count = -(-n_rows // block_rows) * row_blocks
+        expected = header_end + count * block_bytes
+        if len(record) != expected:
+            problem = "is truncated" if len(record) < expected else "has trailing bytes"
+            raise CodecError(
+                f"chunk {position} {problem} ({len(record)} bytes, expected {expected})"
+            )
+        counts.append(count)
+        rows += n_rows
+
+    stored_dtype = _STORAGE_DTYPES[settings.float_format.name]
+    index_dtype = settings.index_dtype.newbyteorder("<")
+    stored = np.concatenate([
+        np.frombuffer(record, dtype=stored_dtype, count=count, offset=header_end)
+        for record, count in zip(records, counts)
+    ])
+    indices = np.concatenate([
+        np.frombuffer(record, dtype=index_dtype, count=count * kept,
+                      offset=header_end + count * float_width)
+        for record, count in zip(records, counts)
+    ]).reshape(-1, kept).astype(settings.index_dtype, copy=False)
+    shape = (rows,) + shape[1:]
+    maxima = _widen(stored, settings.float_format).reshape(settings.block_grid_shape(shape))
     return CompressedArray(settings=settings, shape=shape, maxima=maxima, indices=indices)
 
 

@@ -16,7 +16,7 @@ Three layers:
   across worker processes), and assembles an exact :class:`repro.core.CompressedArray`.
 * :class:`CompressedStore` / :class:`CompressedStoreWriter` — an on-disk format
   with a chunk table, so slabs append incrementally and sub-regions decompress
-  selectively (:func:`load_region`) without materialising the whole index array.
+  selectively (:meth:`CompressedStore.load_region`) without materialising the whole index array.
   Format v2 records the codec *name*, so a store can hold slabs of any
   registered :mod:`repro.codecs` backend (:func:`stream_compress` is the
   codec-generic writer); v1 pyblaz stores remain readable.
@@ -59,7 +59,7 @@ from .sharded import (
     open_store,
     refresh_partials,
 )
-from .store import CompressedStore, CompressedStoreWriter, load_region
+from .store import CompressedStore, CompressedStoreWriter
 
 __all__ = [
     "ChunkPrefetcher",
@@ -73,7 +73,6 @@ __all__ = [
     "append_shard",
     "init_sharded_store",
     "is_sharded_store",
-    "load_region",
     "open_store",
     "ops",
     "refresh_partials",

@@ -11,26 +11,34 @@ during decode/fold.  Reading goes in three steps, written once here:
 2. **fetch** (:func:`_fetch_span`): resolve a span's chunks from the attached
    chunk cache, or read the misses through
    :meth:`repro.streaming.CompressedStore.read_payload_span`;
-3. **consume** (:func:`_consume`): decode a fetched payload, cache it, and
-   count the logical read.
+3. **consume** (:func:`_consume`, :func:`_consume_step`): decode fetched
+   payloads, cache them, and count the logical reads.
 
 Two drivers run those steps.  :func:`inline_chunks` runs them span by span on
 the caller's thread (``load_region`` uses it).  :class:`ChunkPrefetcher`
 fetches a bounded window of spans ahead on a small thread pool while the
-consumer thread decodes and yields chunks **in deterministic index order** —
-so every fold result stays bit-identical to the serial path.  The strictly
-serial ``read_chunk`` loop of ``iter_chunks(prefetch=0)`` stays beside them
-as the reference path.
+consumer thread decodes **in deterministic index order** — so every fold
+result stays bit-identical to the serial path.  Given the fused engine's fold
+steps (:func:`repro.streaming.sources.fold_steps`), it hands over each step's
+fetched records at once instead of decoded chunks.  The strictly serial
+``read_chunk`` loop of ``iter_chunks(prefetch=0)`` stays beside them as the
+reference path.
 
 Division of labour, chosen by measurement rather than symmetry:
 
-* **Workers fetch, the consumer decodes.**  Record reads release the GIL
-  (``os.pread``, CRC-32), so fetching in threads overlaps genuinely with
-  decode/fold work.  Chunk *decoding* is dominated by GIL-held Python-object
-  work (stream parsing, settings reconstruction), so decoding in workers just
-  contends with the consumer — measured slower than serial.  Keeping decode on
-  the consumer thread also preserves the strict single-decode discipline the
-  engine's memory contract relies on.
+* **Workers fetch, the consumer decodes a fold step at once.**  Record reads
+  release the GIL (``os.pread``, CRC-32), so fetching in threads overlaps
+  genuinely with decode/fold work.  A fused sweep's consumer decodes a whole
+  step's records with :func:`~repro.core.codec.decode_span`: one header
+  parse, one array of maxima and one of indices filled straight from the
+  record bytes, one :class:`~repro.core.CompressedArray` — no per-record
+  parse and no join copy.  Decoding the span on a fetch worker instead
+  measured no faster: the copies contend with the fold for the same two
+  cores.  A step falls back to the per-chunk decode and join when the
+  records are not pyblaz streams (version-1 raw records, other codecs), when
+  a chunk cache is attached (cache entries are chunks, so hits and misses
+  stay per chunk), or when anything in the step fails to fetch or decode —
+  that path raises the serial loop's error at the serial loop's chunk.
 * **Spans, not single chunks.**  Submitting one future per chunk costs more
   handoff than a small read saves; adjacent records within
   :data:`DEFAULT_SPAN_BYTES` (capped at :data:`DEFAULT_SPAN_CHUNKS`) merge
@@ -44,11 +52,12 @@ and any failure falls back to the per-chunk
 policy.  Exceptions surface at the failing chunk's position in the yielded
 order, after every chunk ahead of it, exactly as a serial reader sees them.
 
-Accounting: ``chunks_read`` counts only chunks actually *consumed* (yielded
-or cache-served), in both drivers.  The thread pool also counts its fetched
-payloads into ``chunks_prefetched`` as the worker completes them, so an
-aborted pipeline leaves ``chunks_prefetched > chunks_read`` instead of
-silently inflating the read counters that pass-count tests assert on.
+Accounting: ``chunks_read`` counts only chunks actually *consumed* (yielded,
+decoded as part of a step, or cache-served), in both drivers.  The thread
+pool also counts its fetched payloads into ``chunks_prefetched`` as the
+worker completes them, so an aborted pipeline leaves ``chunks_prefetched >
+chunks_read`` instead of silently inflating the read counters that
+pass-count tests assert on.
 """
 
 from __future__ import annotations
@@ -56,7 +65,11 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
+
+from ..core.codec import decode_span
+from ..core.exceptions import CodecError
 
 __all__ = [
     "ChunkPrefetcher",
@@ -273,6 +286,28 @@ def _shutdown_pool(pool: ThreadPoolExecutor) -> None:
     pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _consume_step(column: list[tuple[object, int, tuple[str, object]]]):
+    """Consumer body of a fold step: decode its fetched payloads in one piece.
+
+    ``column`` holds one source's ``(store, local index, fetched item)`` per
+    chunk of the step, possibly from two shards.  Returns the step's records
+    decoded straight into one joined chunk
+    (:func:`~repro.core.codec.decode_span`), without counting the reads.
+    Returns ``None`` when the step needs the per-chunk :func:`_consume`
+    instead: an item is a fetch error or a cached chunk, a store's records
+    are not pyblaz streams (v1 raw records, another codec), or the span does
+    not decode cleanly.  That path raises exactly the serial loop's error at
+    exactly its chunk.
+    """
+    if not all(kind == "payload" and real._span_decodable
+               for real, _, (kind, _) in column):
+        return None
+    try:
+        return decode_span([payload for _, _, (_, payload) in column])
+    except CodecError:
+        return None
+
+
 class ChunkPrefetcher:
     """Bounded-window pipelined reader over a store's chunks.
 
@@ -292,6 +327,11 @@ class ChunkPrefetcher:
     depth:
         Maximum coalesced span fetches in flight (``None`` → auto, ~2× the
         worker count).  ``0`` degenerates to the serial read path.
+    steps:
+        Chunk counts of successive fold steps, covering ``indices``.  When
+        given, iteration yields each step's fetched ``(store, local index,
+        item)`` list undecoded, for :func:`_consume_step` to decode in one
+        piece; this needs ``depth > 0``.
 
     A prefetcher is **single-use**: iterate it once, then :meth:`close` it
     (closing is automatic when the iteration ends, is abandoned, or the
@@ -300,20 +340,40 @@ class ChunkPrefetcher:
     """
 
     def __init__(self, store, indices: Iterable[int] | None = None, *,
-                 depth: int | None = None):
+                 depth: int | None = None, steps: Sequence[int] | None = None):
         self.store = store
         self.indices = (list(range(store.n_chunks)) if indices is None
                         else [int(index) for index in indices])
         self.depth = resolve_depth(depth)
+        self.steps = None if steps is None else list(steps)
+        if self.steps is not None and (self.depth == 0
+                                       or sum(self.steps) != len(self.indices)):
+            raise ValueError(
+                f"fold steps {self.steps} need readahead (depth {self.depth}) and "
+                f"must cover the {len(self.indices)} requested chunks"
+            )
         self._pool: ThreadPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
 
     def __iter__(self) -> Iterator:
-        """Yield decoded chunks in request order, fetching ahead in spans."""
-        if self.depth == 0 or len(self.indices) <= 1:
+        """Yield decoded chunks, or each fold step's fetched items, in request order."""
+        if self.steps is None and (self.depth == 0 or len(self.indices) <= 1):
             for index in self.indices:
                 yield self.store.read_chunk(index)
             return
+        items = self._fetched()
+        try:
+            if self.steps is None:
+                for real, local, item in items:
+                    yield _consume(real, local, item)
+            else:
+                for size in self.steps:
+                    yield list(islice(items, size))
+        finally:
+            items.close()
+
+    def _fetched(self) -> Iterator[tuple[object, int, tuple[str, object]]]:
+        """Yield ``(store, local index, fetched item)`` in order, fetching ahead."""
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=DEFAULT_PREFETCH_WORKERS, thread_name_prefix="repro-prefetch"
@@ -339,7 +399,9 @@ class ChunkPrefetcher:
                 real, locals_, future = window.popleft()
                 submit_next()  # keep the window full before blocking
                 for local, item in zip(locals_, future.result()):
-                    yield _consume(real, local, item)
+                    yield real, local, item
+                    if item[0] == "error":
+                        return  # the consumer raises it; the stream ends there
         finally:
             self.close()
 

@@ -12,12 +12,14 @@ the engine depends downward on streaming (never the reverse).
 from __future__ import annotations
 
 import math
-from itertools import accumulate, islice, pairwise
+from itertools import accumulate, groupby, islice, pairwise
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from ..core.compressed import CompressedArray, concatenate_rows
 from ..core.exceptions import CodecError
-from .prefetch import DEFAULT_SPAN_CHUNKS, coalesce_spans
+from .prefetch import (DEFAULT_SPAN_CHUNKS, ChunkPrefetcher, _consume, _consume_step,
+                       coalesce_spans, readahead_depth)
 from .sharded import ShardedStore
 from .store import CompressedStore
 
@@ -73,30 +75,35 @@ def aligned_chunks(sources: tuple, *, prefetch: int | None = None) -> Iterator[t
     shuts the prefetchers' fetch pools down promptly.
     """
     iterators = [source_chunks(source, prefetch=prefetch) for source in sources]
-    sentinel = object()
     try:
-        while True:
-            chunks = tuple(next(iterator, sentinel) for iterator in iterators)
-            if all(chunk is sentinel for chunk in chunks):
-                return
-            if any(chunk is sentinel for chunk in chunks):
-                raise ValueError(
-                    "binary compressed-domain ops require identically chunked "
-                    "sources (one ran out of chunks early)"
-                )
-            shapes = {tuple(chunk.shape) for chunk in chunks}
-            if len(shapes) > 1:
-                raise ValueError(
-                    f"chunk shapes differ ({' vs '.join(map(str, shapes))}); "
-                    "recompress with matching slab_rows"
-                )
-            yield chunks
-            chunks = None  # release the previous chunk tuple before decoding the next
+        yield from _zip_aligned(iterators)
     finally:
         for iterator in iterators:
             close = getattr(iterator, "close", None)
             if close is not None:
                 close()
+
+
+def _zip_aligned(iterators: list) -> Iterator[tuple]:
+    """Zip chunk iterators in lockstep, rejecting ragged or misshapen tuples."""
+    sentinel = object()
+    while True:
+        chunks = tuple(next(iterator, sentinel) for iterator in iterators)
+        if all(chunk is sentinel for chunk in chunks):
+            return
+        if any(chunk is sentinel for chunk in chunks):
+            raise ValueError(
+                "binary compressed-domain ops require identically chunked "
+                "sources (one ran out of chunks early)"
+            )
+        shapes = {tuple(chunk.shape) for chunk in chunks}
+        if len(shapes) > 1:
+            raise ValueError(
+                f"chunk shapes differ ({' vs '.join(map(str, shapes))}); "
+                "recompress with matching slab_rows"
+            )
+        yield chunks
+        chunks = None  # release the previous chunk tuple before decoding the next
 
 
 #: Coefficients one fold step may hold (512 KiB of dense float64 per source).
@@ -128,24 +135,66 @@ def fold_steps(sources: tuple) -> list[int]:
 def aligned_spans(sources: tuple, *, prefetch: int | None = None) -> Iterator[tuple]:
     """Yield aligned chunk tuples batched into spans: the fused engine's step unit.
 
-    When every source is an open store, the tuples of each
-    :func:`fold_steps` step are joined per source with
-    :func:`~repro.core.compressed.concatenate_rows`, so one fold step covers
-    a span of small chunks.  Every per-block value of a joined chunk has its
-    chunk's bits, so folds over spans equal folds over chunks exactly.
-    Caller-supplied iterables keep one chunk tuple per step: their memory
-    bound is one chunk per source.
+    When every source is an open store, each :func:`fold_steps` step yields
+    one chunk per source joining the step's chunks.  With readahead on and no
+    chunk cache attached, each source's
+    :class:`~repro.streaming.ChunkPrefetcher` hands over a whole step's
+    fetched records, which decode straight into that one chunk
+    (:func:`~repro.core.codec.decode_span`); otherwise the step's decoded
+    chunks are joined with :func:`~repro.core.compressed.concatenate_rows`,
+    so cache hits and misses stay per chunk.  Every per-block value of a
+    joined chunk has its chunk's bits, so folds over spans equal folds over
+    chunks exactly.  Caller-supplied iterables keep one chunk tuple per step:
+    their memory bound is one chunk per source.
     """
-    iterator = aligned_chunks(sources, prefetch=prefetch)
     if not all(isinstance(source, STORE_TYPES) for source in sources):
-        return iterator
-    return _batched(iterator, sources)
+        return aligned_chunks(sources, prefetch=prefetch)
+    steps = fold_steps(sources)
+    depth = readahead_depth(sources[0], prefetch)
+    if depth and all(source.chunk_cache is None
+                     and source.chunk_rows == sources[0].chunk_rows
+                     for source in sources):
+        for source in sources:
+            require_pyblaz(source)
+        return _decoded_steps(
+            [ChunkPrefetcher(source, depth=depth, steps=steps) for source in sources]
+        )
+    return _batched(aligned_chunks(sources, prefetch=prefetch), steps)
 
 
-def _batched(iterator, sources: tuple) -> Iterator[tuple]:
+def _decoded_steps(prefetchers: list) -> Iterator[tuple]:
+    """One joined chunk per source per fold step, decoded from fetched records.
+
+    A step whose columns all decode in one piece (:func:`_consume_step`)
+    counts its reads and yields.  Any other step — a fetch error, a corrupt
+    or irregular record — replays the serial loop's order instead: chunk by
+    chunk, source by source, through the per-chunk consumer, so the same
+    error surfaces at the same chunk with the same reads counted ahead of it.
+    """
+    iterators = [iter(prefetcher) for prefetcher in prefetchers]
+    try:
+        for columns in zip(*iterators):
+            spans = tuple(_consume_step(column) for column in columns)
+            if None in spans or len({span.shape for span in spans}) > 1:
+                spans = _join(list(_zip_aligned(
+                    [(_consume(*piece) for piece in column) for column in columns]
+                )))
+            else:
+                for column in columns:
+                    for real, pieces in groupby(column, key=itemgetter(0)):
+                        real._note_read(sum(1 for _ in pieces))
+            columns = None  # hold only the joined spans while they are folded
+            yield spans
+            spans = None  # release them before decoding the next step
+    finally:
+        for iterator in iterators:
+            iterator.close()
+
+
+def _batched(iterator, steps: list[int]) -> Iterator[tuple]:
     """Join each fold step's aligned tuples into one tuple of joined chunks."""
     try:
-        for size in fold_steps(sources):
+        for size in steps:
             batch = list(islice(iterator, size))
             span = _join(batch)
             batch = None  # hold only the joined span while it is folded

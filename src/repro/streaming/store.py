@@ -51,6 +51,7 @@ import os
 import struct
 import threading
 import zlib
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterator
@@ -74,8 +75,7 @@ from ..reliability import faults
 from ..reliability.retry import DEFAULT_READ_RETRY, RetryPolicy, retry_call
 from .prefetch import ChunkPrefetcher, coalesce_spans, inline_chunks, readahead_depth
 
-__all__ = ["StoreReader", "CompressedStore", "CompressedStoreWriter", "load_region",
-           "STORE_MAGIC"]
+__all__ = ["StoreReader", "CompressedStore", "CompressedStoreWriter", "STORE_MAGIC"]
 
 STORE_MAGIC = b"PBLZC"
 _END_MAGIC = b"PBLZE"
@@ -620,6 +620,15 @@ class CompressedStore(StoreReader):
             self._settings_resolved = True
         return self._settings
 
+    @cached_property
+    def _span_decodable(self) -> bool:
+        """Whether chunk records are pyblaz streams that :func:`~repro.core.codec.decode_span` joins.
+
+        True for v2/v3 stores of the core pyblaz codec; v1 raw records and
+        other codecs' streams decode per chunk (:meth:`_chunk_from_payload`).
+        """
+        return self.version > 1 and get_codec_class(self.codec_name) is PyBlazCodec
+
     @property
     def dtype(self) -> np.dtype:
         """Element dtype that chunk decompression produces for this store.
@@ -891,7 +900,3 @@ class CompressedStore(StoreReader):
             f"codec={self.codec_name}, {described})"
         )
 
-
-def load_region(store: CompressedStore, region) -> np.ndarray:
-    """Module-level convenience for :meth:`CompressedStore.load_region`."""
-    return store.load_region(region)

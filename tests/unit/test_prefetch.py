@@ -23,7 +23,6 @@ from repro.streaming import (
     append_shard,
     coalesce_spans,
     init_sharded_store,
-    load_region,
     resolve_depth,
     warm_store_cache,
 )
@@ -192,7 +191,7 @@ class TestLoadRegion:
             with ChunkedCompressor(settings, slab_rows=8).compress_to_store(
                 field, tmp_path / name
             ) as opened:
-                out = load_region(opened, region)
+                out = opened.load_region(region)
                 return out, opened.preads
 
         region = (slice(10, 70), slice(None))
@@ -253,7 +252,7 @@ class TestSharded:
         with ShardedStore(sharded_path) as store:
             expected = store.load()[region]
         with ShardedStore(sharded_path) as store:
-            assert np.array_equal(load_region(store, region), expected)
+            assert np.array_equal(store.load_region(region), expected)
 
 
 class TestWarmStoreCache:

@@ -8,7 +8,6 @@ from repro.streaming import (
     ChunkedCompressor,
     CompressedStore,
     CompressedStoreWriter,
-    load_region,
 )
 from repro.streaming import ops as stream_ops
 from tests.conftest import smooth_field
@@ -161,7 +160,7 @@ class TestCompressedStore:
         assert np.array_equal(store.load_region((slice(1, 30, 7),)), full[1:30:7])
         assert np.array_equal(store.load_region((17, slice(None))), full[17])
         assert np.array_equal(store.load_region(-1), full[-1])
-        assert np.array_equal(load_region(store, (slice(None), 3)), full[:, 3])
+        assert np.array_equal(store.load_region((slice(None), 3)), full[:, 3])
 
     def test_load_region_empty_range(self, store):
         region = store.load_region((slice(5, 5),))
